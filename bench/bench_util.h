@@ -84,17 +84,16 @@ struct BenchEnv {
 inline std::unique_ptr<core::ActivityEngine> makeCcssEngine(
     const sim::SimIR& ir, const core::ScheduleOptions& opts, unsigned threads,
     std::vector<std::string>* warnings = nullptr) {
-  auto cc = core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), opts);
-  if (threads <= 1) return std::make_unique<core::ActivityEngine>(std::move(cc));
-  return core::makeCcssEngine(std::move(cc), threads, warnings);
+  return core::makeCcssEngine(
+      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), opts), threads, warnings);
 }
 
 inline std::unique_ptr<core::ActivityEngine> makeCcssEngine(
     const sim::SimIR& ir, core::CondPartSchedule schedule, unsigned threads,
     std::vector<std::string>* warnings = nullptr) {
-  auto cc = core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), std::move(schedule));
-  if (threads <= 1) return std::make_unique<core::ActivityEngine>(std::move(cc));
-  return core::makeCcssEngine(std::move(cc), threads, warnings);
+  return core::makeCcssEngine(
+      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), std::move(schedule)),
+      threads, warnings);
 }
 
 // Interleaved A/B(/C/...) repetition timing: candidates run round-robin

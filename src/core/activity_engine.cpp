@@ -29,6 +29,12 @@ std::shared_ptr<const CcssSchedule> buildCcssSchedule(const sim::CompiledDesign&
   return body;
 }
 
+// Sequential tick phases are Busy on the calling thread, unless a pool.work
+// span above it (a SimFarm worker running this engine) already claims them.
+obs::TraceCat sequentialCat() {
+  return obs::trace_detail::inPooledWork() ? obs::TraceCat::None : obs::TraceCat::Busy;
+}
+
 }  // namespace
 
 std::shared_ptr<const CompiledCcss> CompiledCcss::compile(
@@ -71,9 +77,11 @@ ActivityEngine::ActivityEngine(std::shared_ptr<const CompiledCcss> ccss)
     : Engine(ccss->design),
       ccss_(std::move(ccss)),
       sched_(ccss_->body->sched),
+      active_(sched_.parts.size(), 1),
+      lanes_(1),
+      lastActivations_(sched_.parts.size()),
       outputSaveOff_(ccss_->body->outputSaveOff),
       partOutBase_(ccss_->body->partOutBase) {
-  active_.assign(sched_.parts.size(), 1);
   prevInputs_.assign(layout_.totalWords, 0);
   outputSave_.assign(ccss_->body->saveWords, 0);
   firstCycle_ = true;
@@ -105,22 +113,34 @@ void ActivityEngine::setProfileWindow(uint32_t cycles) {
   clearProfile();
 }
 
-void ActivityEngine::wake(const std::vector<int32_t>& parts) {
-  for (int32_t p : parts) active_[static_cast<size_t>(p)] = 1;
-  stats_.triggerSets += parts.size();
+void ActivityEngine::wake(const std::vector<int32_t>& parts, SweepLane& lane) {
+  if (lane.outbox == nullptr) {
+    for (int32_t p : parts) active_[static_cast<size_t>(p)] = 1;
+  } else {
+    // Plain stores only: a lane writes just the flags it owns and posts
+    // every other wake to the owner's mailbox.
+    for (int32_t p : parts) {
+      const unsigned owner = static_cast<unsigned>(lane.ownerOf[p]);
+      if (owner == lane.index)
+        active_[static_cast<size_t>(p)] = 1;
+      else
+        lane.outbox[owner].push_back(p);
+    }
+  }
+  lane.triggerSets += parts.size();
 }
 
-void ActivityEngine::applyRegWrite(const SchedRegWrite& rw) {
+void ActivityEngine::applyRegWrite(const SchedRegWrite& rw, SweepLane& lane) {
   const RegInfo& r = ir_->regs[static_cast<size_t>(rw.regIdx)];
-  stats_.outputComparisons++;
+  lane.outputComparisons++;
   if (sigValsEqual(r.sig, r.next)) return;
   copySigWords(r.sig, r.next);
   // All readers already ran this cycle (ordering edges), so these flags
   // take effect next cycle — the paper's immediate-wakeup insight.
-  wake(rw.wakeParts);
+  wake(rw.wakeParts, lane);
 }
 
-void ActivityEngine::applyMemWrite(const SchedMemWrite& mw) {
+void ActivityEngine::applyMemWrite(const SchedMemWrite& mw, SweepLane& lane) {
   const MemInfo& mem = ir_->mems[static_cast<size_t>(mw.memIdx)];
   const sim::MemWriter& w = mem.writers[static_cast<size_t>(mw.writerIdx)];
   if (state_.vals[layout_.offset[w.en]] == 0) return;
@@ -131,21 +151,22 @@ void ActivityEngine::applyMemWrite(const SchedMemWrite& mw) {
   uint32_t off = layout_.offset[w.data];
   auto& words = state_.memWords[static_cast<size_t>(mw.memIdx)];
   bool changed = false;
-  stats_.outputComparisons++;
+  lane.outputComparisons++;
   for (uint32_t i = 0; i < rw; i++) {
     if (words[addr * rw + i] != state_.vals[off + i]) {
       words[addr * rw + i] = state_.vals[off + i];
       changed = true;
     }
   }
-  if (changed) wake(mw.wakeParts);
+  if (changed) wake(mw.wakeParts, lane);
 }
 
-void ActivityEngine::runPartition(size_t pos, const CondPart& part) {
+void ActivityEngine::runPartition(size_t pos, SweepLane& lane) {
   obs::TraceSpan span("part", obs::TraceCat::None, obs::TraceDetail::Partition,
                       "part", pos);
-  stats_.partitionActivations++;
-  const uint64_t wakesBefore = stats_.triggerSets;
+  const CondPart& part = sched_.parts[pos];
+  lane.activations++;
+  const uint64_t wakesBefore = lane.triggerSets;
 
   // Save old output values.
   size_t outBase = partOutBase_[pos];
@@ -180,12 +201,12 @@ void ActivityEngine::runPartition(size_t pos, const CondPart& part) {
       k = j;
     }
   }
-  stats_.opsEvaluated += part.ops.size();
+  lane.opsEvaluated += part.ops.size();
 
   // Elided state updates (end of partition: every internal reader op has
   // already evaluated with the old value).
-  for (const auto& rw : part.regWrites) applyRegWrite(rw);
-  for (const auto& mw : part.memWrites) applyMemWrite(mw);
+  for (const auto& rw : part.regWrites) applyRegWrite(rw, lane);
+  for (const auto& mw : part.memWrites) applyMemWrite(mw, lane);
 
   // Push-direction triggering: wake consumers of changed outputs. The
   // change test is a branchless OR-reduction over the output's words.
@@ -196,15 +217,16 @@ void ActivityEngine::runPartition(size_t pos, const CondPart& part) {
     uint64_t diff = 0;
     for (uint32_t i = 0; i < layout_.nwords[o.sig]; i++)
       diff |= outputSave_[so + i] ^ state_.vals[vo + i];
-    stats_.outputComparisons++;
-    if (diff != 0) wake(o.consumers);
+    lane.outputComparisons++;
+    if (diff != 0) wake(o.consumers, lane);
   }
 
   if (profiling_) {
+    // prof_.parts[pos] is touched only by the lane that runs pos.
     PartitionProfile& pp = prof_.parts[pos];
     pp.activations++;
     pp.opsEvaluated += part.ops.size();
-    pp.wakesIssued += stats_.triggerSets - wakesBefore;
+    pp.wakesIssued += lane.triggerSets - wakesBefore;
   }
 }
 
@@ -214,7 +236,7 @@ void ActivityEngine::sweepInputs() {
     for (size_t i = 0; i < ir_->inputs.size(); i++) {
       int32_t in = ir_->inputs[i];
       if (!sigWordsEqual(in, prevInputs_.data() + layout_.offset[in]))
-        wake(sched_.inputConsumers[i]);
+        wake(sched_.inputConsumers[i], lanes_[0]);
     }
   }
   for (int32_t in : ir_->inputs) {
@@ -224,11 +246,21 @@ void ActivityEngine::sweepInputs() {
   firstCycle_ = false;
 }
 
-void ActivityEngine::recordProfiledCycle(uint64_t activationsDelta) {
+void ActivityEngine::sweepSerial() {
+  obs::TraceSpan span("sweep.serial", sequentialCat(), obs::TraceDetail::Wave);
+  SweepLane& lane = lanes_[0];
+  for (size_t pos = 0; pos < sched_.parts.size(); pos++) {
+    if (!active_[pos]) continue;
+    active_[pos] = 0;  // deactivate for the next cycle first (Figure 1)
+    runPartition(pos, lane);
+  }
+}
+
+void ActivityEngine::recordProfiledCycle(uint64_t activations) {
   size_t window = static_cast<size_t>(prof_.profiledCycles / prof_.windowCycles);
   if (prof_.activationsPerWindow.size() <= window)
     prof_.activationsPerWindow.resize(window + 1, 0);
-  prof_.activationsPerWindow[window] += activationsDelta;
+  prof_.activationsPerWindow[window] += activations;
   prof_.profiledCycles++;
 }
 
@@ -237,33 +269,52 @@ void ActivityEngine::finishCycle() {
   firePrintsAndStops();
 
   // 4. Phase 2: non-elided state elements.
-  for (const auto& rw : sched_.deferredRegs) applyRegWrite(rw);
-  for (const auto& mw : sched_.deferredMemWrites) applyMemWrite(mw);
+  for (const auto& rw : sched_.deferredRegs) applyRegWrite(rw, lanes_[0]);
+  for (const auto& mw : sched_.deferredMemWrites) applyMemWrite(mw, lanes_[0]);
 
   stats_.cycles++;
 }
 
 void ActivityEngine::tick() {
-  // Busy on its own thread; None when nested inside a pool.work span (a
-  // SimFarm worker already owns this interval's attribution).
-  obs::TraceSpan span("tick", obs::trace_detail::inPooledWork()
-                                  ? obs::TraceCat::None
-                                  : obs::TraceCat::Busy,
-                      obs::TraceDetail::Wave, "cycle", stats_.cycles);
-  sweepInputs();
+  // The session is resolved once per tick; with no trace recording, each
+  // span below costs one load and branch.
+  obs::TraceSession* ts = obs::TraceSession::current();
+  if (ts && !ts->wants(obs::TraceDetail::Wave)) ts = nullptr;
+  const obs::TraceCat seqCat = sequentialCat();
+  {
+    obs::TraceSpan pre("tick.pre", seqCat, obs::TraceDetail::Wave);
+    sweepInputs();
+  }
 
   // 2. Partition sweep (static schedule; the per-partition flag check is
   //    the static overhead).
-  stats_.partitionChecks += sched_.parts.size();
-  const uint64_t activationsBefore = stats_.partitionActivations;
-  for (size_t pos = 0; pos < sched_.parts.size(); pos++) {
-    if (!active_[pos]) continue;
-    active_[pos] = 0;  // deactivate for the next cycle first (Figure 1)
-    runPartition(pos, sched_.parts[pos]);
-  }
-  if (profiling_) recordProfiledCycle(stats_.partitionActivations - activationsBefore);
+  sweepPartitions();
 
-  finishCycle();
+  {
+    obs::TraceSpan post("tick.post", seqCat, obs::TraceDetail::Wave);
+    finishCycle();
+  }
+
+  // Every lane's counters merge into stats_ once per tick.
+  uint64_t activations = 0;
+  for (SweepLane& lane : lanes_) {
+    activations += lane.activations;
+    stats_.opsEvaluated += lane.opsEvaluated;
+    stats_.partitionActivations += lane.activations;
+    stats_.outputComparisons += lane.outputComparisons;
+    stats_.triggerSets += lane.triggerSets;
+    lane.opsEvaluated = lane.activations = lane.outputComparisons = lane.triggerSets = 0;
+  }
+  stats_.partitionChecks += sched_.parts.size();
+  lastActivations_ = activations;
+  if (profiling_) recordProfiledCycle(activations);
+  if (ts) {
+    // Counter tracks: partitions evaluated vs skipped, cumulative across
+    // the run so the Perfetto track shows the activity-factor slope.
+    partsSkipped_ += sched_.parts.size() - activations;
+    ts->counter("parts_active", stats_.partitionActivations);
+    ts->counter("parts_skipped", partsSkipped_);
+  }
 }
 
 double ActivityEngine::effectiveActivity() const {

@@ -16,6 +16,10 @@
 //   4. runs phase 2: non-elided registers copy next->current and memory
 //      writes commit, waking consumers on change.
 //
+// The sweep counts its work into per-lane SweepLane records that merge into
+// EngineStats once per tick; ParallelActivityEngine (core/parallel_engine.h)
+// runs this same tick and partition body with one record per worker lane.
+//
 // Overhead counters map onto Figure 7's decomposition: partitionChecks is
 // the static overhead, outputComparisons/triggerSets the dynamic overhead,
 // and opsEvaluated the base work (effective activity = opsEvaluated /
@@ -92,8 +96,7 @@ class ActivityEngine : public sim::Engine {
   void resetState() override;
   const char* name() const override { return "essent-ccss"; }
 
-  // Worker lanes used by the partition sweep (1 for the serial engine;
-  // ParallelActivityEngine overrides).
+  // Worker lanes used by the partition sweep (1 for the serial engine).
   virtual unsigned threadCount() const { return 1; }
 
   const CondPartSchedule& schedule() const { return sched_; }
@@ -115,39 +118,74 @@ class ActivityEngine : public sim::Engine {
   void setProfileWindow(uint32_t cycles);  // clears the profile; cycles >= 1
 
  protected:
-  void onStateClobbered() override {
-    std::fill(active_.begin(), active_.end(), uint8_t{1});
-    firstCycle_ = true;
-  }
+  // One sweep lane's private slice of a tick: the four work counters, merged
+  // into stats_ once per tick, and where the lane's wakes go. Padded to a
+  // cache line so lanes running in parallel never share one.
+  struct alignas(64) SweepLane {
+    uint64_t opsEvaluated = 0;
+    uint64_t activations = 0;
+    uint64_t outputComparisons = 0;
+    uint64_t triggerSets = 0;
+    // Null: every wake sets its flag in place. Otherwise a wake to a
+    // partition owned (per ownerOf) by another lane t is queued in
+    // outbox[t] instead, and only this lane's own flags are touched.
+    std::vector<int32_t>* outbox = nullptr;
+    const int32_t* ownerOf = nullptr;  // position -> lane; read only with an outbox
+    unsigned index = 0;
+  };
 
-  // Shared with ParallelActivityEngine (which overrides only the partition
-  // sweep; phases 1, 3, and 4 of the tick stay sequential).
+  // Tick phase 2. The serial engine sweeps inline; ParallelActivityEngine
+  // overrides this one step and nothing else of the tick.
+  virtual void sweepPartitions() { sweepSerial(); }
+  // The whole sweep inline on the calling thread, in schedule order, into
+  // lanes_[0] with wakes set in place.
+  void sweepSerial();
+  // The partition body (Figure 1): deactivate-first is the caller's job;
+  // this saves the outputs, evaluates the ops, applies the elided state
+  // writes, then compares the outputs and wakes their consumers.
+  void runPartition(size_t pos, SweepLane& lane);
+
   // Immutable structure (shared across instances) ...
   std::shared_ptr<const CompiledCcss> ccss_;
-  const CondPartSchedule& sched_;              // = ccss_->body->sched
+  const CondPartSchedule& sched_;  // = ccss_->body->sched
+  // ... and the mutable state the sweep shares with its override:
+  // wake flags, one per schedule position,
+  std::vector<uint8_t> active_;
+  // one record per sweep lane (lanes_[0] belongs to the calling thread,
+  // which also counts the input sweep and the state commits into it),
+  std::vector<SweepLane> lanes_;
+  // and the partitions the previous sweep ran (all of them before the first).
+  uint64_t lastActivations_;
+
+ private:
   const std::vector<uint32_t>& outputSaveOff_; // = ccss_->body->outputSaveOff
   const std::vector<size_t>& partOutBase_;     // = ccss_->body->partOutBase
-  // ... and this instance's mutable state.
-  std::vector<uint8_t> active_;
   std::vector<uint64_t> prevInputs_;
   // Flat old-value buffer for all partition outputs.
   std::vector<uint64_t> outputSave_;
   bool firstCycle_ = true;
   bool profiling_ = false;
   ActivityProfile prof_;
+  // Cumulative skipped-partition count behind the parts_skipped trace
+  // counter track (advanced only while a trace session is recording).
+  uint64_t partsSkipped_ = 0;
 
+  void onStateClobbered() override {
+    std::fill(active_.begin(), active_.end(), uint8_t{1});
+    firstCycle_ = true;
+  }
+
+  void applyRegWrite(const SchedRegWrite& rw, SweepLane& lane);
+  void applyMemWrite(const SchedMemWrite& mw, SweepLane& lane);
+  void wake(const std::vector<int32_t>& parts, SweepLane& lane);
   void clearProfile();
-  void runPartition(size_t pos, const CondPart& part);
-  void applyRegWrite(const SchedRegWrite& rw);
-  void applyMemWrite(const SchedMemWrite& mw);
-  void wake(const std::vector<int32_t>& parts);
   // Tick phase 1: wake consumers of changed external inputs and latch the
   // new input values.
   void sweepInputs();
   // Tick phases 3 + 4: side effects, then the non-elided state commits.
   void finishCycle();
-  // Folds the per-cycle activation delta into the profile timeline.
-  void recordProfiledCycle(uint64_t activationsDelta);
+  // Folds the per-cycle activation count into the profile timeline.
+  void recordProfiledCycle(uint64_t activations);
 };
 
 }  // namespace essent::core

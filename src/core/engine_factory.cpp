@@ -49,8 +49,8 @@ std::unique_ptr<Engine> makeEngine(EngineKind kind,
     case EngineKind::CcssPar:
       // Graceful degradation (thread clamping, spawn-failure fallback to
       // the serial engine) with messages routed to opts.warnings.
-      eng = core::makeCcssEngine(std::move(design), scheduleOptionsFrom(opts), opts.threads,
-                                 opts.warnings);
+      eng = core::makeCcssEngine(core::CompiledCcss::get(design, scheduleOptionsFrom(opts)),
+                                 opts.threads, opts.warnings);
       break;
     case EngineKind::Lane: {
       const unsigned lanes = opts.lanes < 1 ? 1 : (opts.lanes > 64 ? 64 : opts.lanes);

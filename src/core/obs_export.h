@@ -28,10 +28,9 @@ obs::Json partitionStatsJson(const PartitionStats& stats);
 // partition-size histogram.
 obs::Json scheduleSummaryJson(const CondPartSchedule& sched);
 
-// Static BSP placement shape (the `placement` section of --stats-json and
-// the per-row placement column of bench_parallel_scaling): thread width,
-// super-step count vs the levelization depth it coarsened, cut-edge
-// fraction, and per-thread load balance.
+// Static BSP placement shape (the `placement` section of --stats-json):
+// thread width, super-step count vs the levelization depth it coarsened,
+// cut-edge fraction, and per-thread load balance.
 obs::Json placementReportJson(const BspPlacement& placement);
 
 // Runtime work counters, keyed by Figure 7's decomposition: base work

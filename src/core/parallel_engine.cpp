@@ -4,13 +4,7 @@
 #include <system_error>
 #include <thread>
 
-#include "obs/trace.h"
-#include "sim/op_eval.h"
-
 namespace essent::core {
-
-using sim::MemInfo;
-using sim::RegInfo;
 
 namespace {
 
@@ -30,10 +24,7 @@ ParallelActivityEngine::ParallelActivityEngine(std::shared_ptr<const CompiledCcs
                                                unsigned threads)
     : ActivityEngine(std::move(ccss)),
       pool_(usefulWidth(sched_, threads)),
-      lane_(pool_.numThreads()),
       stepFn_([this](unsigned lane, size_t step) { runStep(lane, step); }),
-      // First cycle activates everything, so start on the pooled path.
-      lastActivations_(sched_.parts.size()),
       // Below ~4 active partitions per lane the fork handoff dominates the
       // work it distributes — those cycles run inline (the low-activity
       // regime the whole engine exists to win).
@@ -46,124 +37,17 @@ ParallelActivityEngine::ParallelActivityEngine(std::shared_ptr<const CompiledCcs
   const size_t T = placement_.threads;
   mailbox_[0].assign(T * T, {});
   mailbox_[1].assign(T * T, {});
-}
-
-void ParallelActivityEngine::wakeOnLane(const std::vector<int32_t>& parts, unsigned lane,
-                                        std::vector<int32_t>* outbox, LaneCounters& lc) {
-  // Plain stores only: a flag is written by its owning lane (drain, clear,
-  // same-thread wake) or by the calling thread outside the fork. Wakes to
-  // another lane's partition travel through that lane's mailbox instead of
-  // touching the flag.
-  for (int32_t p : parts) {
-    const size_t pos = static_cast<size_t>(p);
-    const unsigned owner = static_cast<unsigned>(placement_.threadOf[pos]);
-    if (outbox == nullptr || owner == lane)
-      active_[pos] = 1;
-    else
-      outbox[owner].push_back(p);
-  }
-  lc.triggerSets += parts.size();
-}
-
-void ParallelActivityEngine::applyRegWriteOnLane(const SchedRegWrite& rw, unsigned lane,
-                                                 std::vector<int32_t>* outbox,
-                                                 LaneCounters& lc) {
-  const RegInfo& r = ir_->regs[static_cast<size_t>(rw.regIdx)];
-  lc.outputComparisons++;
-  if (sigValsEqual(r.sig, r.next)) return;
-  copySigWords(r.sig, r.next);
-  wakeOnLane(rw.wakeParts, lane, outbox, lc);
-}
-
-void ParallelActivityEngine::applyMemWriteOnLane(const SchedMemWrite& mw, unsigned lane,
-                                                 std::vector<int32_t>* outbox,
-                                                 LaneCounters& lc) {
-  const MemInfo& mem = ir_->mems[static_cast<size_t>(mw.memIdx)];
-  const sim::MemWriter& w = mem.writers[static_cast<size_t>(mw.writerIdx)];
-  if (state_.vals[layout_.offset[w.en]] == 0) return;
-  if (state_.vals[layout_.offset[w.mask]] == 0) return;
-  uint64_t addr = state_.vals[layout_.offset[w.addr]];
-  if (addr >= mem.depth) return;
-  uint32_t rw = state_.memRowWords[static_cast<size_t>(mw.memIdx)];
-  uint32_t off = layout_.offset[w.data];
-  auto& words = state_.memWords[static_cast<size_t>(mw.memIdx)];
-  bool changed = false;
-  lc.outputComparisons++;
-  for (uint32_t i = 0; i < rw; i++) {
-    if (words[addr * rw + i] != state_.vals[off + i]) {
-      words[addr * rw + i] = state_.vals[off + i];
-      changed = true;
-    }
-  }
-  if (changed) wakeOnLane(mw.wakeParts, lane, outbox, lc);
-}
-
-void ParallelActivityEngine::runPartitionOnLane(size_t pos, unsigned lane,
-                                                std::vector<int32_t>* outbox,
-                                                LaneCounters& lc) {
-  obs::TraceSpan span("part", obs::TraceCat::None, obs::TraceDetail::Partition,
-                      "part", pos);
-  const CondPart& part = sched_.parts[pos];
-  lc.activations++;
-  const uint64_t wakesBefore = lc.triggerSets;
-
-  size_t outBase = partOutBase_[pos];
-  for (size_t oi = 0; oi < part.outputs.size(); oi++) {
-    const PartOutput& o = part.outputs[oi];
-    uint32_t so = outputSaveOff_[outBase + oi];
-    uint32_t vo = layout_.offset[o.sig];
-    for (uint32_t i = 0; i < layout_.nwords[o.sig]; i++)
-      outputSave_[so + i] = state_.vals[vo + i];
-  }
-
-  if (!ir_->hasCombLoops()) {
-    for (int32_t opIdx : part.ops)
-      sim::evalExecOp(*ir_, layout_, state_, exec_[static_cast<size_t>(opIdx)]);
-  } else {
-    for (size_t k = 0; k < part.ops.size();) {
-      int32_t opIdx = part.ops[k];
-      int32_t super = ir_->superOf(static_cast<size_t>(opIdx));
-      if (super < 0) {
-        sim::evalExecOp(*ir_, layout_, state_, exec_[static_cast<size_t>(opIdx)]);
-        k++;
-        continue;
-      }
-      size_t j = k;
-      while (j < part.ops.size() && ir_->superOf(static_cast<size_t>(part.ops[j])) == super)
-        j++;
-      sim::evalSuperRange(*ir_, layout_, state_, exec_.data() + opIdx, j - k);
-      k = j;
-    }
-  }
-  lc.opsEvaluated += part.ops.size();
-
-  for (const auto& rw : part.regWrites) applyRegWriteOnLane(rw, lane, outbox, lc);
-  for (const auto& mw : part.memWrites) applyMemWriteOnLane(mw, lane, outbox, lc);
-
-  for (size_t oi = 0; oi < part.outputs.size(); oi++) {
-    const PartOutput& o = part.outputs[oi];
-    uint32_t so = outputSaveOff_[outBase + oi];
-    uint32_t vo = layout_.offset[o.sig];
-    uint64_t diff = 0;
-    for (uint32_t i = 0; i < layout_.nwords[o.sig]; i++)
-      diff |= outputSave_[so + i] ^ state_.vals[vo + i];
-    lc.outputComparisons++;
-    if (diff != 0) wakeOnLane(o.consumers, lane, outbox, lc);
-  }
-
-  if (profiling_) {
-    // prof_.parts[pos] is touched only by the lane that owns pos.
-    PartitionProfile& pp = prof_.parts[pos];
-    pp.activations++;
-    pp.opsEvaluated += part.ops.size();
-    pp.wakesIssued += lc.triggerSets - wakesBefore;
+  lanes_.resize(pool_.numThreads());
+  for (unsigned t = 0; t < lanes_.size(); t++) {
+    lanes_[t].index = t;
+    lanes_[t].ownerOf = placement_.threadOf.data();
   }
 }
 
 void ParallelActivityEngine::runStep(unsigned lane, size_t step) {
   const size_t T = placement_.threads;
   const size_t parity = step & 1;
-  LaneCounters& lc = lane_[lane];
+  SweepLane& ln = lanes_[lane];
 
   // Drain phase: wakes posted to this lane during the previous super-step
   // (the inter-step barrier separates the writers' pushes from this read).
@@ -177,25 +61,16 @@ void ParallelActivityEngine::runStep(unsigned lane, size_t step) {
 
   // Run phase: this lane's positions for this step, ascending schedule
   // order (a topological order of the same-thread dependency edges).
-  std::vector<int32_t>* outbox = mailbox_[parity ^ 1].data() + lane * T;
+  ln.outbox = mailbox_[parity ^ 1].data() + lane * T;
   for (int32_t p : placement_.steps[step].runs[lane]) {
     const size_t pos = static_cast<size_t>(p);
     if (!active_[pos]) continue;
     active_[pos] = 0;  // deactivate-first, as serial
-    runPartitionOnLane(pos, lane, outbox, lc);
+    runPartition(pos, ln);
   }
-}
-
-void ParallelActivityEngine::serialSweep() {
-  // Identical to the serial engine's partition sweep; outbox == nullptr
-  // routes every wake straight to the flag.
-  LaneCounters& lc = lane_[0];
-  const size_t n = sched_.parts.size();
-  for (size_t pos = 0; pos < n; pos++) {
-    if (!active_[pos]) continue;
-    active_[pos] = 0;
-    runPartitionOnLane(pos, 0, nullptr, lc);
-  }
+  // Outside a super-step (inline sweeps, input and state wakes) lane 0
+  // must set flags in place again.
+  ln.outbox = nullptr;
 }
 
 void ParallelActivityEngine::drainFinalMailboxes() {
@@ -212,63 +87,17 @@ void ParallelActivityEngine::drainFinalMailboxes() {
   }
 }
 
-void ParallelActivityEngine::mergeLaneCounters() {
-  for (LaneCounters& lc : lane_) {
-    stats_.opsEvaluated += lc.opsEvaluated;
-    stats_.partitionActivations += lc.activations;
-    stats_.outputComparisons += lc.outputComparisons;
-    stats_.triggerSets += lc.triggerSets;
-    lc = LaneCounters{};
-  }
-}
-
-void ParallelActivityEngine::tick() {
-  // The session pointer is resolved once per tick; when no trace is
-  // recording every added branch below is off a nullptr/false check.
-  obs::TraceSession* ts = obs::TraceSession::current();
-  if (ts && !ts->wants(obs::TraceDetail::Wave)) ts = nullptr;
-  // Sequential phases are Busy on this thread unless a pool.work span above
-  // us (e.g. a SimFarm worker running this engine) already claims them.
-  const obs::TraceCat seqCat = obs::trace_detail::inPooledWork()
-                                   ? obs::TraceCat::None
-                                   : obs::TraceCat::Busy;
-
-  {
-    obs::TraceSpan pre("tick.pre", seqCat, obs::TraceDetail::Wave);
-    sweepInputs();
-  }
-
-  // 2. Partition sweep: one fork for ALL super-steps — or no fork at all
-  //    when the previous cycle's activity predicts too little work to
-  //    distribute.
-  stats_.partitionChecks += sched_.parts.size();
-  const uint64_t activationsBefore = stats_.partitionActivations;
+void ParallelActivityEngine::sweepPartitions() {
+  // One fork for ALL super-steps — or no fork at all when the previous
+  // cycle's activity predicts too little work to distribute.
   const size_t numSteps = placement_.numSteps();
-  const bool inlineSweep = pool_.numThreads() == 1 || numSteps == 0 ||
-                           (serialCutoff_ > 0 && lastActivations_ <= serialCutoff_);
-  if (inlineSweep) {
-    obs::TraceSpan span("sweep.serial", seqCat, obs::TraceDetail::Wave);
-    serialSweep();
-  } else {
-    pool_.runSteps(numSteps, stepFn_);
-    drainFinalMailboxes();
+  if (pool_.numThreads() == 1 || numSteps == 0 ||
+      (serialCutoff_ > 0 && lastActivations_ <= serialCutoff_)) {
+    sweepSerial();
+    return;
   }
-  mergeLaneCounters();
-  const uint64_t activations = stats_.partitionActivations - activationsBefore;
-  lastActivations_ = activations;
-  if (ts) {
-    // Counter tracks: partitions evaluated vs skipped, cumulative across
-    // the run so the Perfetto track shows activity-factor slope.
-    partsSkippedBase_ += sched_.parts.size() - activations;
-    ts->counter("parts_active", stats_.partitionActivations);
-    ts->counter("parts_skipped", partsSkippedBase_);
-  }
-
-  {
-    obs::TraceSpan post("tick.post", seqCat, obs::TraceDetail::Wave);
-    if (profiling_) recordProfiledCycle(activations);
-    finishCycle();
-  }
+  pool_.runSteps(numSteps, stepFn_);
+  drainFinalMailboxes();
 }
 
 std::unique_ptr<ActivityEngine> makeCcssEngine(std::shared_ptr<const CompiledCcss> ccss,
@@ -308,19 +137,6 @@ std::unique_ptr<ActivityEngine> makeCcssEngine(std::shared_ptr<const CompiledCcs
          "); falling back to serial CCSS engine");
     return std::make_unique<ActivityEngine>(std::move(ccss));
   }
-}
-
-std::unique_ptr<ActivityEngine> makeCcssEngine(
-    std::shared_ptr<const sim::CompiledDesign> design, const ScheduleOptions& opts,
-    unsigned threads, std::vector<std::string>* warnings) {
-  return makeCcssEngine(CompiledCcss::get(design, opts), threads, warnings);
-}
-
-std::unique_ptr<ActivityEngine> makeCcssEngine(const sim::SimIR& ir,
-                                               const ScheduleOptions& opts,
-                                               unsigned threads,
-                                               std::vector<std::string>* warnings) {
-  return makeCcssEngine(sim::CompiledDesign::compile(ir), opts, threads, warnings);
 }
 
 }  // namespace essent::core

@@ -1,31 +1,33 @@
 // Statically-placed bulk-synchronous parallel CCSS activity engine.
 //
-// The previous wave-parallel engine forked and joined the pool once per
-// levelization level — 2 x levels barrier crossings per cycle (67-77 levels
-// on the SoC designs), which erased the paper's activity savings at every
-// thread count. This engine moves the scheduling decision to compile time:
-// a BspPlacement (core/placement.h) pins every partition to one worker
-// thread and coarsens the levels into a handful of super-steps, so a cycle
-// costs ONE pool fork, (super-steps - 1) in-fork counting barriers, and one
-// join — regardless of how many levels the schedule has.
+// A BspPlacement (core/placement.h) pins every partition to one worker lane
+// and coarsens the schedule's levels into a handful of super-steps, so a
+// pooled cycle costs ONE pool fork, (super-steps - 1) in-fork counting
+// barriers, and one join, however many levels the schedule has.
 //
-// Execution model per cycle:
-//   * input sweep (sequential, as serial);
-//   * if the previous cycle activated fewer partitions than the serial
-//     cutoff, the whole sweep runs inline on the calling thread in schedule
-//     order — exactly the serial engine's loop, so low-activity cycles (the
-//     paper's common case) never pay the fork;
+// The engine owns only that placement, the pool, the wake mailboxes and the
+// serial cutoff. Everything else is ActivityEngine's: the same tick(), the
+// same input sweep and state commits, and the same partition body
+// (runPartition / applyRegWrite / applyMemWrite / wake). The one step it
+// overrides is the partition sweep:
+//   * if the previous cycle activated no more partitions than the serial
+//     cutoff, the sweep runs inline on the calling thread (sweepSerial), so
+//     low-activity cycles (the paper's common case) never pay the fork;
 //   * otherwise ThreadPool::runSteps runs the placement: in super-step s,
-//     lane t first drains its wake mailboxes (cross-thread wakes posted in
+//     lane t first drains its wake mailboxes (cross-lane wakes posted in
 //     step s-1, barrier-separated), then runs its positions in ascending
-//     schedule order, testing-and-clearing wake flags;
-//   * sequential finish (side effects + non-elided state), as serial.
+//     schedule order, testing-and-clearing wake flags.
+// The placed body differs from the serial one in two things only, both
+// carried by the per-lane SweepLane record: a wake to another lane's
+// partition goes to that lane's mailbox instead of the flag, and the work
+// counters land in the lane's own cache-line-padded slot (merged into
+// EngineStats once per tick, as the serial engine's single lane is).
 //
 // Race-freedom is by OWNERSHIP, not atomics: a partition's wake flag is
 // written only by its owning lane inside the fork (drains set it, the run
-// loop clears it, same-thread wakes store it) and only by the calling
+// loop clears it, same-lane wakes store it) and only by the calling
 // thread outside the fork (input/state wakes between cycles) — publication
-// in both directions rides the pool's epoch handoff and join. Cross-thread
+// in both directions rides the pool's epoch handoff and join. Cross-lane
 // wakes go through per-(src,dst) mailbox vectors double-buffered by
 // super-step parity: src pushes during step s into the parity-(s+1) box,
 // dst drains it at step s+1, and the inter-step barrier orders the two, so
@@ -35,11 +37,10 @@
 // positions whose step already passed, so like the serial engine's state
 // wakes they take effect next cycle.
 //
-// EngineStats stay serial-identical: counters accumulate into per-lane
-// cache-line-padded slots merged after the sweep, triggerSets counts wake
-// targets (not mailbox hops), and the placement's edge rules (cross-thread
-// dependency edge => strictly earlier super-step; same-thread => earlier
-// position) reproduce the serial activation set exactly.
+// EngineStats stay serial-identical: triggerSets counts wake targets (not
+// mailbox hops), and the placement's edge rules (cross-lane dependency
+// edge => strictly earlier super-step; same-lane => earlier position)
+// reproduce the serial activation set exactly.
 #pragma once
 
 #include <functional>
@@ -60,7 +61,6 @@ class ParallelActivityEngine : public ActivityEngine {
   // the placement's useful width (never more lanes than partitions).
   ParallelActivityEngine(std::shared_ptr<const CompiledCcss> ccss, unsigned threads);
 
-  void tick() override;
   const char* name() const override { return "essent-ccss-par"; }
   unsigned threadCount() const override { return pool_.numThreads(); }
 
@@ -74,68 +74,34 @@ class ParallelActivityEngine : public ActivityEngine {
   uint64_t serialCutoff() const { return serialCutoff_; }
 
  private:
-  // Per-lane counter slab, padded to a cache line to avoid false sharing.
-  struct alignas(64) LaneCounters {
-    uint64_t opsEvaluated = 0;
-    uint64_t activations = 0;
-    uint64_t outputComparisons = 0;
-    uint64_t triggerSets = 0;
-  };
-
+  // Chooses the inline sweep or one fork of the placement (file header).
+  void sweepPartitions() override;
   void runStep(unsigned lane, size_t step);
-  void serialSweep();
-  void runPartitionOnLane(size_t pos, unsigned lane, std::vector<int32_t>* outbox,
-                          LaneCounters& lc);
-  void applyRegWriteOnLane(const SchedRegWrite& rw, unsigned lane,
-                           std::vector<int32_t>* outbox, LaneCounters& lc);
-  void applyMemWriteOnLane(const SchedMemWrite& mw, unsigned lane,
-                           std::vector<int32_t>* outbox, LaneCounters& lc);
-  void wakeOnLane(const std::vector<int32_t>& parts, unsigned lane,
-                  std::vector<int32_t>* outbox, LaneCounters& lc);
-  void mergeLaneCounters();
   // After the join: flags for wakes posted during the final super-step
   // (caller-owned time; everything is published by the join).
   void drainFinalMailboxes();
 
-  // Declared before pool_ so the pool width can clamp to the useful width;
-  // rebuilt in the ctor body if worker spawning degraded the pool.
+  // Built in the ctor body over the lanes the pool actually spawned.
   BspPlacement placement_;
   support::ThreadPool pool_;
-  std::vector<LaneCounters> lane_;
   std::function<void(unsigned, size_t)> stepFn_;
   // Cross-thread wake mailboxes: mailbox_[parity][src * threads + dst] is
   // pushed only by lane src and drained only by lane dst, parities
   // alternating per super-step (see file header).
   std::vector<std::vector<int32_t>> mailbox_[2];
-  uint64_t lastActivations_;
   uint64_t serialCutoff_;
-  // Cumulative skipped-partition count feeding the parts_skipped trace
-  // counter track (only advanced while a trace session is recording).
-  uint64_t partsSkippedBase_ = 0;
 };
 
-// Builds a CCSS engine for `threads` lanes (0 = default count) with
-// graceful degradation instead of hard failure: a request beyond the
-// hardware concurrency or beyond the placement's useful width (one lane
-// per partition) is clamped, and when worker threads cannot be created
-// (OS limits) the engine falls back to fewer lanes or to the serial
-// ActivityEngine. Every degradation appends a human-readable message to
-// `warnings` (when non-null) — callers surface them as W06xx diagnostics.
-// The returned engine is always usable.
-std::unique_ptr<ActivityEngine> makeCcssEngine(const sim::SimIR& ir,
-                                               const ScheduleOptions& opts,
-                                               unsigned threads,
-                                               std::vector<std::string>* warnings = nullptr);
-
-// Shared-structure variant: the schedule is built (or fetched) through the
-// design's extension cache, so repeated calls over the same design — e.g.
-// every instance of a core::SimFarm batch — pay for one schedule build.
-std::unique_ptr<ActivityEngine> makeCcssEngine(
-    std::shared_ptr<const sim::CompiledDesign> design, const ScheduleOptions& opts,
-    unsigned threads, std::vector<std::string>* warnings = nullptr);
-
-// Same degradation contract over an already-compiled schedule (bench rows
-// share one schedule across thread counts through this).
+// Builds a CCSS engine over a compiled schedule for `threads` lanes (0 =
+// default count) with graceful degradation instead of hard failure: a
+// request beyond the hardware concurrency or beyond the placement's useful
+// width (one lane per partition) is clamped, and when worker threads cannot
+// be created (OS limits) the engine falls back to fewer lanes or to the
+// serial ActivityEngine. Every degradation appends a human-readable message
+// to `warnings` (when non-null) — callers surface them as W06xx
+// diagnostics. The returned engine is always usable. Callers holding a
+// design or a SimIR build the schedule first with CompiledCcss::get (shared
+// through the design's cache) or CompiledCcss::compile.
 std::unique_ptr<ActivityEngine> makeCcssEngine(std::shared_ptr<const CompiledCcss> ccss,
                                                unsigned threads,
                                                std::vector<std::string>* warnings = nullptr);

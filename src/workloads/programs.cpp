@@ -1,5 +1,7 @@
 #include "workloads/programs.h"
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "support/rng.h"
@@ -8,6 +10,15 @@
 namespace essent::workloads {
 
 namespace {
+
+// The programs keep their loop counters in 16-bit registers: a count of 0
+// or above 65535 would wrap and halt after the wrong number of passes.
+uint16_t loopCount(const char* what, uint64_t n) {
+  if (n == 0 || n > 0xffff)
+    throw std::invalid_argument(std::string(what) + " loop count " + std::to_string(n) +
+                                " is outside [1, 65535]: the program's 16-bit counter would wrap");
+  return static_cast<uint16_t>(n);
+}
 
 }  // namespace
 
@@ -74,10 +85,11 @@ uint16_t runReference(const Program& p, uint32_t maxSteps = 50'000'000) {
 }  // namespace
 
 Program dhrystoneProgram(uint32_t iterations) {
+  const uint16_t count = loopCount("dhrystone", iterations);
   Asm a;
   // x1 checksum, x2 loop counter, x6 MMIO base, x7 mask.
   a.li(1, 0);
-  a.li(2, static_cast<uint16_t>(iterations));
+  a.li(2, count);
   a.li(6, 0x8000);
   a.li(7, 15);
   a.label("loop");
@@ -107,11 +119,12 @@ Program dhrystoneProgram(uint32_t iterations) {
 }
 
 Program matmulProgram(uint32_t n, uint32_t repeats) {
+  const uint16_t count = loopCount("matmul repeat", repeats);
   Asm a;
   // x1 checksum, x2 i, x3 j, x4 k, x7 acc, x5/x6 temps.
   // dmem[12] holds the repeat counter; scratch at dmem[11].
   a.li(1, 0);
-  a.li(5, static_cast<uint16_t>(repeats));
+  a.li(5, count);
   a.sw(5, 0, 12);
   a.label("rep_loop");
   a.li(2, 0);
@@ -185,10 +198,10 @@ Program matmulProgram(uint32_t n, uint32_t repeats) {
 }
 
 Program pchaseProgram(uint32_t listLength, uint32_t laps) {
+  const uint16_t steps = loopCount("pchase", uint64_t{listLength} * laps);
   Asm a;
-  uint32_t steps = listLength * laps;
   a.li(1, 256);  // head pointer
-  a.li(2, static_cast<uint16_t>(steps));
+  a.li(2, steps);
   a.label("loop");
   a.lw(1, 1, 0);  // serialized dependent load
   a.addi(2, 2, -1);

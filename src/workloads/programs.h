@@ -22,7 +22,10 @@ struct Program {
   std::vector<std::pair<uint16_t, uint16_t>> data;
 };
 
-// `iterations` scales runtime; each program halts when done.
+// `iterations` scales runtime; each program halts when done. The loop
+// counts (dhrystone `iterations`, matmul `repeats`, pchase `listLength` x
+// `laps`) live in 16-bit registers: each must be in [1, 65535], and a count
+// outside that range throws std::invalid_argument instead of wrapping.
 Program dhrystoneProgram(uint32_t iterations = 64);
 Program matmulProgram(uint32_t n = 6, uint32_t repeats = 2);
 Program pchaseProgram(uint32_t listLength = 64, uint32_t laps = 8);

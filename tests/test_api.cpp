@@ -78,8 +78,9 @@ TEST(ApiFactory, ConstructsEveryInProcessKind) {
       ASSERT_NE(eng, nullptr) << ex << " " << sim::engineKindName(k);
       // CcssPar may gracefully degrade to the serial engine on small hosts,
       // in which case it reports the serial long name.
-      if (k != sim::EngineKind::CcssPar)
+      if (k != sim::EngineKind::CcssPar) {
         EXPECT_STREQ(eng->name(), sim::engineKindLongName(k)) << ex;
+      }
       eng->tick();
       EXPECT_EQ(eng->stats().cycles, 1u);
     }

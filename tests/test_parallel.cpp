@@ -116,7 +116,9 @@ void checkLevelizationInvariants(const CondPartSchedule& sched, const std::strin
       EXPECT_EQ(sched.levelOf[static_cast<size_t>(pos)], static_cast<int32_t>(l)) << what;
       EXPECT_EQ(seen[static_cast<size_t>(pos)], 0) << what << ": position listed twice";
       seen[static_cast<size_t>(pos)] = 1;
-      if (k > 0) EXPECT_LT(sched.waves[l][k - 1], pos) << what << ": wave not ascending";
+      if (k > 0) {
+        EXPECT_LT(sched.waves[l][k - 1], pos) << what << ": wave not ascending";
+      }
     }
   }
   for (size_t pos = 0; pos < n; pos++) EXPECT_EQ(seen[pos], 1) << what << ": position unplaced";
@@ -348,7 +350,11 @@ TEST_P(ParallelEquiv, ProfilingCountersMergeExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelEquiv, ::testing::Values(2u, 4u),
                          [](const ::testing::TestParamInfo<unsigned>& info) {
-                           return "t" + std::to_string(info.param);
+                           // Appending sidesteps GCC 12's false -Wrestrict
+                           // on `"t" + std::string`.
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(ParallelEngine, ZeroThreadsUsesDefaultCount) {

@@ -82,7 +82,9 @@ void checkPlacementContract(const CondPartSchedule& sched, const BspPlacement& p
   // whole point of the placement is fewer barriers, not more.
   EXPECT_EQ(p.levels, sched.numLevels()) << what;
   EXPECT_LE(p.numSteps(), std::max<size_t>(p.levels, 1)) << what;
-  if (n > 0) EXPECT_GE(p.numSteps(), 1u) << what;
+  if (n > 0) {
+    EXPECT_GE(p.numSteps(), 1u) << what;
+  }
 
   // Every position placed exactly once, on the thread/step the maps say,
   // ascending within each per-thread run.
@@ -102,7 +104,9 @@ void checkPlacementContract(const CondPartSchedule& sched, const BspPlacement& p
         seen[static_cast<size_t>(pos)] = 1;
         EXPECT_EQ(p.threadOf[static_cast<size_t>(pos)], static_cast<int32_t>(t)) << what;
         EXPECT_EQ(p.stepOf[static_cast<size_t>(pos)], static_cast<int32_t>(s)) << what;
-        if (k > 0) EXPECT_LT(run[k - 1], pos) << what << ": run not ascending";
+        if (k > 0) {
+          EXPECT_LT(run[k - 1], pos) << what << ": run not ascending";
+        }
         perThread[t]++;
         any = true;
       }
@@ -129,8 +133,9 @@ void checkPlacementContract(const CondPartSchedule& sched, const BspPlacement& p
     } else {
       EXPECT_LE(p.stepOf[static_cast<size_t>(u)], p.stepOf[static_cast<size_t>(v)])
           << what << ": same-thread edge " << u << "->" << v << " runs backwards";
-      if (p.stepOf[static_cast<size_t>(u)] == p.stepOf[static_cast<size_t>(v)])
+      if (p.stepOf[static_cast<size_t>(u)] == p.stepOf[static_cast<size_t>(v)]) {
         EXPECT_LT(u, v) << what << ": same-step edge must follow schedule order";
+      }
     }
   }
   EXPECT_EQ(p.crossEdges, cross) << what;
@@ -266,10 +271,24 @@ void expectStatsEqual(const sim::EngineStats& a, const sim::EngineStats& b,
   EXPECT_EQ(a.signalsChangedTotal, b.signalsChangedTotal) << what;
 }
 
+void expectProfilesEqual(const core::ActivityProfile& a, const core::ActivityProfile& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.profiledCycles, b.profiledCycles) << what;
+  EXPECT_EQ(a.activationsPerWindow, b.activationsPerWindow) << what;
+  ASSERT_EQ(a.parts.size(), b.parts.size()) << what;
+  for (size_t pos = 0; pos < a.parts.size(); pos++) {
+    EXPECT_EQ(a.parts[pos].activations, b.parts[pos].activations) << what << " part " << pos;
+    EXPECT_EQ(a.parts[pos].opsEvaluated, b.parts[pos].opsEvaluated) << what << " part " << pos;
+    EXPECT_EQ(a.parts[pos].wakesIssued, b.parts[pos].wakesIssued) << what << " part " << pos;
+  }
+}
+
 TEST(PlacedEngine, ForcedPooledPathMatchesSerialBitsAndStats) {
   // setSerialCutoff(0) disables the low-activity inline fallback, so every
   // cycle exercises mailbox routing, the counting barrier, and per-lane
   // counter merging — under tsan this is the strongest race check we have.
+  // Profiling is on in both engines: every partition's activations, ops
+  // and wakes, and the activity timeline, must match the serial run too.
   for (const auto& [name, text] : allDesignTexts()) {
     SimIR ir = sim::buildFromFirrtl(text);
     CondPartSchedule sched = core::buildSchedule(core::Netlist::build(ir));
@@ -277,6 +296,10 @@ TEST(PlacedEngine, ForcedPooledPathMatchesSerialBitsAndStats) {
     ParallelActivityEngine par(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), sched), 4);
     par.setSerialCutoff(0);
     ASSERT_EQ(par.serialCutoff(), 0u);
+    for (ActivityEngine* e : {&serial, static_cast<ActivityEngine*>(&par)}) {
+      e->setProfileWindow(16);
+      e->setProfiling(true);
+    }
 
     auto stim = cyclicStimulus(1234);
     for (uint64_t c = 0; c < 120; c++) {
@@ -289,6 +312,7 @@ TEST(PlacedEngine, ForcedPooledPathMatchesSerialBitsAndStats) {
     }
     expectStatsEqual(serial.stats(), par.stats(), name);
     EXPECT_EQ(serial.effectiveActivity(), par.effectiveActivity()) << name;
+    expectProfilesEqual(serial.profile(), par.profile(), name);
   }
 }
 

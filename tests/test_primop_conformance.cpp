@@ -24,6 +24,10 @@ struct BinaryCase {
   bool signedOk;  // also test the SInt flavour
 };
 
+// Print the op name; gtest's default dumps the raw bytes (pointers included),
+// which makes the listed test names differ from one process to the next.
+void PrintTo(const BinaryCase& c, std::ostream* os) { *os << c.name; }
+
 class BinaryPrimOp : public ::testing::TestWithParam<BinaryCase> {};
 
 TEST_P(BinaryPrimOp, MatchesReferenceAcrossWidths) {

@@ -195,7 +195,8 @@ TEST(Degradation, MakeCcssEngineFallsBackToSerialWithWarning) {
   // a usable serial engine plus at least one warning, never a crash.
   support::ThreadPool::failSpawnsAfterForTest(0);
   std::vector<std::string> warnings;
-  auto eng = core::makeCcssEngine(ir, so, 4, &warnings);
+  auto eng = core::makeCcssEngine(
+      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), so), 4, &warnings);
   ASSERT_NE(eng, nullptr);
   EXPECT_EQ(eng->threadCount(), 1u);
   EXPECT_FALSE(warnings.empty());
@@ -219,7 +220,8 @@ TEST(Degradation, OversubscriptionClampedWithWarning) {
   sim::SimIR ir = sim::buildFromFirrtl(kCounterFir);
   core::ScheduleOptions so;
   std::vector<std::string> warnings;
-  auto eng = core::makeCcssEngine(ir, so, 100000, &warnings);
+  auto eng = core::makeCcssEngine(
+      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), so), 100000, &warnings);
   ASSERT_NE(eng, nullptr);
   EXPECT_FALSE(warnings.empty());
 }

@@ -67,7 +67,9 @@ TEST(ScaleTest, MidScalePartitionerAndPlacementInvariants) {
       EXPECT_EQ(seen[op], 0) << "op " << op << " in two partitions";
       seen[op] = 1;
       placedOps++;
-      if (i > 0) EXPECT_LT(part.ops[i - 1], op);
+      if (i > 0) {
+        EXPECT_LT(part.ops[i - 1], op);
+      }
     }
   }
   EXPECT_EQ(placedOps, design->ir.ops.size());

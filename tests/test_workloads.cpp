@@ -2,6 +2,8 @@
 // driver (Table II infrastructure).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "designs/tinysoc.h"
 #include "sim/compile.h"
 #include "sim/full_cycle.h"
@@ -104,6 +106,21 @@ TEST(Programs, ExpectedValuesAreStable) {
   EXPECT_EQ(pchaseExpected(16, 2), pchaseExpected(16, 2));
   // And sensitive to parameters.
   EXPECT_NE(dhrystoneExpected(8), dhrystoneExpected(16));
+}
+
+TEST(Programs, RejectLoopCountsA16BitCounterCannotHold) {
+  EXPECT_THROW(dhrystoneProgram(0), std::invalid_argument);
+  EXPECT_THROW(dhrystoneProgram(65536), std::invalid_argument);
+  EXPECT_NO_THROW(dhrystoneProgram(65535));
+  EXPECT_THROW(matmulProgram(3, 0), std::invalid_argument);
+  EXPECT_THROW(matmulProgram(3, 65536), std::invalid_argument);
+  EXPECT_NO_THROW(matmulProgram(3, 65535));
+  // pchase counts listLength x laps steps, computed without 32-bit wrap.
+  EXPECT_THROW(pchaseProgram(64, 1536), std::invalid_argument);  // 98304 steps
+  EXPECT_THROW(pchaseProgram(65536, 65536), std::invalid_argument);
+  EXPECT_THROW(pchaseProgram(0, 8), std::invalid_argument);
+  EXPECT_THROW(pchaseProgram(64, 0), std::invalid_argument);
+  EXPECT_NO_THROW(pchaseProgram(64, 1023));  // 65472 steps
 }
 
 TEST(Driver, ReportsInstretAndCycles) {
