@@ -2,6 +2,7 @@
 
 #include "obs/trace.h"
 #include "sim/op_eval.h"
+#include "support/wake_bits.h"
 
 namespace essent::core {
 
@@ -77,11 +78,11 @@ ActivityEngine::ActivityEngine(std::shared_ptr<const CompiledCcss> ccss)
     : Engine(ccss->design),
       ccss_(std::move(ccss)),
       sched_(ccss_->body->sched),
-      active_(sched_.parts.size(), 1),
       lanes_(1),
       lastActivations_(sched_.parts.size()),
       outputSaveOff_(ccss_->body->outputSaveOff),
       partOutBase_(ccss_->body->partOutBase) {
+  support::setAllWakeBits(active_, sched_.parts.size());
   prevInputs_.assign(layout_.totalWords, 0);
   outputSave_.assign(ccss_->body->saveWords, 0);
   firstCycle_ = true;
@@ -89,11 +90,16 @@ ActivityEngine::ActivityEngine(std::shared_ptr<const CompiledCcss> ccss)
 
 void ActivityEngine::resetState() {
   Engine::resetState();
-  std::fill(active_.begin(), active_.end(), uint8_t{1});
+  support::setAllWakeBits(active_, sched_.parts.size());
   std::fill(prevInputs_.begin(), prevInputs_.end(), 0);
   std::fill(outputSave_.begin(), outputSave_.end(), 0);
   firstCycle_ = true;
   clearProfile();  // keep profile sums consistent with the zeroed stats_
+}
+
+void ActivityEngine::onStateClobbered() {
+  support::setAllWakeBits(active_, sched_.parts.size());
+  firstCycle_ = true;
 }
 
 void ActivityEngine::clearProfile() {
@@ -115,14 +121,15 @@ void ActivityEngine::setProfileWindow(uint32_t cycles) {
 
 void ActivityEngine::wake(const std::vector<int32_t>& parts, SweepLane& lane) {
   if (lane.outbox == nullptr) {
-    for (int32_t p : parts) active_[static_cast<size_t>(p)] = 1;
+    for (int32_t p : parts) support::setWakeBit(active_, static_cast<size_t>(p));
   } else {
-    // Plain stores only: a lane writes just the flags it owns and posts
-    // every other wake to the owner's mailbox.
+    // A lane sets just the bits it owns and posts every other wake to the
+    // owner's mailbox. Another lane may own bits of the same word, so the
+    // set is an atomic OR.
     for (int32_t p : parts) {
       const unsigned owner = static_cast<unsigned>(lane.ownerOf[p]);
       if (owner == lane.index)
-        active_[static_cast<size_t>(p)] = 1;
+        support::setWakeBitShared(active_, static_cast<size_t>(p));
       else
         lane.outbox[owner].push_back(p);
     }
@@ -249,11 +256,9 @@ void ActivityEngine::sweepInputs() {
 void ActivityEngine::sweepSerial() {
   obs::TraceSpan span("sweep.serial", sequentialCat(), obs::TraceDetail::Wave);
   SweepLane& lane = lanes_[0];
-  for (size_t pos = 0; pos < sched_.parts.size(); pos++) {
-    if (!active_[pos]) continue;
-    active_[pos] = 0;  // deactivate for the next cycle first (Figure 1)
-    runPartition(pos, lane);
-  }
+  // The bit is cleared before the partition runs: deactivate for the next
+  // cycle first (Figure 1).
+  support::sweepWakeBits(active_, [this, &lane](size_t pos) { runPartition(pos, lane); });
 }
 
 void ActivityEngine::recordProfiledCycle(uint64_t activations) {
@@ -286,8 +291,8 @@ void ActivityEngine::tick() {
     sweepInputs();
   }
 
-  // 2. Partition sweep (static schedule; the per-partition flag check is
-  //    the static overhead).
+  // 2. Partition sweep (static schedule; the wake-bit sweep is the static
+  //    overhead).
   sweepPartitions();
 
   {

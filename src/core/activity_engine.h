@@ -3,7 +3,10 @@
 // Executes a CondPartSchedule: per cycle it
 //   1. compares external inputs against their previous values and wakes the
 //      consumer partitions of any that changed;
-//   2. sweeps the partitions in the singular static schedule order; an
+//   2. sweeps the partitions in the singular static schedule order,
+//      visiting only the set bits of the wake bitset one 64-bit word at a
+//      time (support/wake_bits.h); a wake to a later position is seen this
+//      cycle, a self-wake or a wake to an earlier position the next. An
 //      active partition first deactivates itself, saves the old values of
 //      its outputs, evaluates its ops with full-cycle style straight-line
 //      code, applies its elided state-element updates (waking state
@@ -21,7 +24,8 @@
 // runs this same tick and partition body with one record per worker lane.
 //
 // Overhead counters map onto Figure 7's decomposition: partitionChecks is
-// the static overhead, outputComparisons/triggerSets the dynamic overhead,
+// the static overhead (positions covered, one word load per 64 of them),
+// outputComparisons/triggerSets the dynamic overhead,
 // and opsEvaluated the base work (effective activity = opsEvaluated /
 // (totalOps * cycles)).
 #pragma once
@@ -149,8 +153,8 @@ class ActivityEngine : public sim::Engine {
   std::shared_ptr<const CompiledCcss> ccss_;
   const CondPartSchedule& sched_;  // = ccss_->body->sched
   // ... and the mutable state the sweep shares with its override:
-  // wake flags, one per schedule position,
-  std::vector<uint8_t> active_;
+  // wake flags, one bit per schedule position (support/wake_bits.h),
+  std::vector<uint64_t> active_;
   // one record per sweep lane (lanes_[0] belongs to the calling thread,
   // which also counts the input sweep and the state commits into it),
   std::vector<SweepLane> lanes_;
@@ -170,10 +174,7 @@ class ActivityEngine : public sim::Engine {
   // counter track (advanced only while a trace session is recording).
   uint64_t partsSkipped_ = 0;
 
-  void onStateClobbered() override {
-    std::fill(active_.begin(), active_.end(), uint8_t{1});
-    firstCycle_ = true;
-  }
+  void onStateClobbered() override;
 
   void applyRegWrite(const SchedRegWrite& rw, SweepLane& lane);
   void applyMemWrite(const SchedMemWrite& mw, SweepLane& lane);

@@ -4,6 +4,8 @@
 #include <system_error>
 #include <thread>
 
+#include "support/wake_bits.h"
+
 namespace essent::core {
 
 namespace {
@@ -55,7 +57,7 @@ void ParallelActivityEngine::runStep(unsigned lane, size_t step) {
   for (size_t src = 0; src < T; src++) {
     std::vector<int32_t>& box = inbox[src * T + lane];
     if (box.empty()) continue;
-    for (int32_t p : box) active_[static_cast<size_t>(p)] = 1;
+    for (int32_t p : box) support::setWakeBitShared(active_, static_cast<size_t>(p));
     box.clear();
   }
 
@@ -64,8 +66,7 @@ void ParallelActivityEngine::runStep(unsigned lane, size_t step) {
   ln.outbox = mailbox_[parity ^ 1].data() + lane * T;
   for (int32_t p : placement_.steps[step].runs[lane]) {
     const size_t pos = static_cast<size_t>(p);
-    if (!active_[pos]) continue;
-    active_[pos] = 0;  // deactivate-first, as serial
+    if (!support::testAndClearWakeBitShared(active_, pos)) continue;  // deactivate-first, as serial
     runPartition(pos, ln);
   }
   // Outside a super-step (inline sweeps, input and state wakes) lane 0
@@ -81,7 +82,7 @@ void ParallelActivityEngine::drainFinalMailboxes() {
   // the empty-between-cycles invariant local.
   for (auto& boxes : mailbox_) {
     for (auto& box : boxes) {
-      for (int32_t p : box) active_[static_cast<size_t>(p)] = 1;
+      for (int32_t p : box) support::setWakeBit(active_, static_cast<size_t>(p));
       box.clear();
     }
   }

@@ -16,26 +16,31 @@
 //   * otherwise ThreadPool::runSteps runs the placement: in super-step s,
 //     lane t first drains its wake mailboxes (cross-lane wakes posted in
 //     step s-1, barrier-separated), then runs its positions in ascending
-//     schedule order, testing-and-clearing wake flags.
+//     schedule order, testing-and-clearing wake bits.
 // The placed body differs from the serial one in two things only, both
 // carried by the per-lane SweepLane record: a wake to another lane's
-// partition goes to that lane's mailbox instead of the flag, and the work
+// partition goes to that lane's mailbox instead of the wake bit, and the work
 // counters land in the lane's own cache-line-padded slot (merged into
 // EngineStats once per tick, as the serial engine's single lane is).
 //
-// Race-freedom is by OWNERSHIP, not atomics: a partition's wake flag is
-// written only by its owning lane inside the fork (drains set it, the run
-// loop clears it, same-lane wakes store it) and only by the calling
-// thread outside the fork (input/state wakes between cycles) — publication
-// in both directions rides the pool's epoch handoff and join. Cross-lane
-// wakes go through per-(src,dst) mailbox vectors double-buffered by
-// super-step parity: src pushes during step s into the parity-(s+1) box,
-// dst drains it at step s+1, and the inter-step barrier orders the two, so
-// every access to every byte is data-race-free with PLAIN loads and stores
-// (the tsan suite runs this engine as its oracle). Wakes posted in the
-// final step are drained by the caller after the join; they target
-// positions whose step already passed, so like the serial engine's state
-// wakes they take effect next cycle.
+// Race-freedom: a partition's wake bit is written only by its owning lane
+// inside the fork (drains set it, the run loop clears it, same-lane wakes
+// set it) and only by the calling thread outside the fork (input/state
+// wakes between cycles) — publication in both directions rides the pool's
+// epoch handoff and join. Ownership is per bit, but the bits live 64 to a
+// word and two lanes can own bits of one word, so inside the fork every
+// update of a wake word is a relaxed std::atomic_ref fetch_or / fetch_and
+// (support/wake_bits.h): the read-modify-writes of different lanes never
+// lose each other's bits, and no ordering beyond the barriers is needed,
+// since a lane reads only its own bits. Outside the fork plain loads and
+// stores stay correct. Cross-lane wakes go through per-(src,dst) mailbox
+// vectors double-buffered by super-step parity: src pushes during step s
+// into the parity-(s+1) box, dst drains it at step s+1, and the inter-step
+// barrier orders the two, so the mailboxes themselves need no atomics (the
+// tsan suite runs this engine as its oracle). Wakes posted in the final
+// step are drained by the caller after the join; they target positions
+// whose step already passed, so like the serial engine's state wakes they
+// take effect next cycle.
 //
 // EngineStats stay serial-identical: triggerSets counts wake targets (not
 // mailbox hops), and the placement's edge rules (cross-lane dependency

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
+#include <vector>
 
 #include "core/activity_engine.h"
 #include "designs/blocks.h"
@@ -11,6 +14,7 @@
 #include "sim/compile.h"
 #include "sim/full_cycle.h"
 #include "sim/harness.h"
+#include "support/wake_bits.h"
 
 namespace essent::core {
 namespace {
@@ -270,6 +274,202 @@ TEST(ActivityEngine, FineAndMonolithicDegenerateSchedulesWork) {
     });
     EXPECT_FALSE(mismatch.has_value())
         << "parts=" << p.numPartitions() << ": " << mismatch->describe();
+  }
+}
+
+TEST(WakeBits, SetAllLeavesTailBitsClear) {
+  std::vector<uint64_t> bits;
+  for (size_t n : {0u, 1u, 63u, 64u, 65u, 128u, 130u}) {
+    support::setAllWakeBits(bits, n);
+    ASSERT_EQ(bits.size(), (n + 63) / 64) << n;
+    size_t count = 0;
+    for (uint64_t w : bits) count += static_cast<size_t>(std::popcount(w));
+    EXPECT_EQ(count, n) << n;
+  }
+}
+
+TEST(WakeBits, SweepSeesLaterWakesAndDefersEarlierOnes) {
+  // Positions 0..129: 63 wakes 64 across the word boundary and 64 wakes
+  // 129 in the tail word, all in the same sweep; 65 wakes itself and 2 (an
+  // earlier position in an earlier word), and 70 wakes 66 (earlier in the
+  // same word): those three wait for the next sweep.
+  std::vector<uint64_t> bits(3, 0);
+  for (size_t pos : {63u, 65u, 70u}) support::setWakeBit(bits, pos);
+  std::vector<size_t> visited;
+  auto visit = [&](size_t pos) {
+    visited.push_back(pos);
+    if (pos == 63) support::setWakeBit(bits, 64);
+    if (pos == 64) support::setWakeBit(bits, 129);
+    if (pos == 65) {
+      support::setWakeBit(bits, 65);
+      support::setWakeBit(bits, 2);
+    }
+    if (pos == 70) support::setWakeBit(bits, 66);
+  };
+  support::sweepWakeBits(bits, visit);
+  EXPECT_EQ(visited, (std::vector<size_t>{63, 64, 65, 70, 129}));
+  visited.clear();
+  support::sweepWakeBits(bits, visit);
+  EXPECT_EQ(visited, (std::vector<size_t>{2, 65, 66}));
+}
+
+TEST(WakeBits, SharedTestAndClearTouchesOnlyItsBit) {
+  // Positions 65 and 68 share word 1 (two lanes' bits in one word).
+  std::vector<uint64_t> bits(2, 0);
+  support::setWakeBitShared(bits, 65);
+  support::setWakeBitShared(bits, 68);
+  support::setWakeBitShared(bits, 68);  // already set: no change
+  EXPECT_EQ(bits[1], support::wakeBitOf(65) | support::wakeBitOf(68));
+  EXPECT_TRUE(support::testAndClearWakeBitShared(bits, 65));
+  EXPECT_FALSE(support::testAndClearWakeBitShared(bits, 65));
+  EXPECT_FALSE(support::testAndClearWakeBitShared(bits, 66));
+  EXPECT_EQ(bits[1], support::wakeBitOf(68));
+  EXPECT_EQ(bits[0], 0u);
+}
+
+// --- Golden counters ---------------------------------------------------------
+//
+// A chain of shift-and-xor stages with an output tap per stage, so every
+// stage is its own MFFC root and the schedule keeps long runs of the chain
+// in consecutive positions: a change wakes each next stage in the same cycle
+// (until the shifts drop it, at most 64 stages on), across the 63 -> 64 word
+// boundary of the wake bitset. Each stage's register reloads from the stage
+// `skip` ahead when four bits of that stage match, so register writes wake
+// partitions at earlier positions (and themselves).
+std::string wakeChainFirrtl(int stages, int skip) {
+  auto n = [](const char* base, int i) {
+    std::string name = base;  // appending sidesteps GCC 12's false -Wrestrict
+    name += std::to_string(i);
+    return name;
+  };
+  std::string t = "circuit W :\n  module W :\n    input clock : Clock\n    input in : UInt<64>\n";
+  for (int i = 0; i < stages; i++) t += "    output " + n("o", i) + " : UInt<64>\n";
+  for (int i = 0; i < stages; i++) t += "    reg " + n("r", i) + " : UInt<64>, clock\n";
+  for (int i = 0; i < stages; i++) {
+    const std::string prev = i == 0 ? "in" : n("a", i - 1);
+    t += "    node " + n("a", i) + " = xor(shr(" + prev + ", 1), " + n("r", i) + ")\n";
+    t += "    " + n("o", i) + " <= " + n("a", i) + "\n";
+  }
+  for (int i = 0; i < stages; i++) {
+    const std::string src = n("a", (i + skip) % stages);
+    t += "    " + n("r", i) + " <= mux(eq(bits(" + src + ", 3, 0), UInt<4>(" +
+         std::to_string(i % 16) + ")), " + src + ", " + n("r", i) + ")\n";
+  }
+  return t;
+}
+
+// FNV-1a over every partition's activations, opsEvaluated and wakesIssued.
+uint64_t profileDigest(const ActivityProfile& prof) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; b++) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const PartitionProfile& pp : prof.parts) {
+    mix(pp.activations);
+    mix(pp.opsEvaluated);
+    mix(pp.wakesIssued);
+  }
+  return h;
+}
+
+struct GoldenCounters {
+  uint32_t cp;  // C_p (PartitionOptions::smallThreshold)
+  uint64_t cycles, opsEvaluated, partitionChecks, partitionActivations;
+  uint64_t outputComparisons, triggerSets, signalsChangedTotal;
+  std::vector<uint64_t> activationsPerWindow;
+  std::vector<uint64_t> partActivations;  // per schedule position
+  uint64_t profileDigest;
+};
+
+// Recorded from the one-byte-per-position sweep the wake bitset replaced:
+// the word-at-a-time sweep must run exactly the same partitions, in the
+// same cycles, as the flag-at-a-time sweep did.
+const GoldenCounters kWakeChainGolden[] = {
+    {1, 96, 30691, 30336, 8771, 8771, 8983, 0,
+     {1585, 1396, 1376, 1470, 1512, 1432},
+     {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 33, 36, 37, 38,
+      38, 41, 42, 43, 44, 45, 45, 49, 50, 52, 56, 59, 60, 60, 62, 63, 65, 66, 70, 71,
+      73, 73, 73, 77, 78, 77, 79, 79, 81, 82, 81, 84, 85, 85, 85, 85, 85, 85, 86, 87,
+      87, 87, 87, 88, 88, 89, 89, 89, 89, 87, 86, 85, 83, 74, 62, 32, 32, 32, 32, 25,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3,
+      4, 6, 35, 8, 38, 12, 40, 13, 39, 15, 42, 15, 13, 12, 8, 6, 4, 3, 2, 2,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 25, 32,
+      33, 33, 35, 63, 75, 83, 86, 87, 87, 89, 89, 89, 88, 88, 87, 87, 87, 87, 86, 85,
+      85, 85, 86, 85, 85, 85, 81, 82, 81, 79, 79, 77, 78, 77, 73, 73, 73, 70, 70, 66,
+      65, 63, 62, 60, 60, 60, 57, 52, 51, 49, 44, 44, 44, 43, 42, 41},
+     0x868f4fc82038d0b3ULL},
+    {8, 96, 39774, 16032, 5553, 11672, 7224, 0,
+     {992, 883, 871, 929, 969, 909},
+     {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 33, 36, 37, 38,
+      38, 41, 42, 44, 44, 48, 46, 54, 50, 52, 56, 59, 60, 60, 62, 63, 65, 66, 71, 71,
+      73, 73, 73, 77, 78, 78, 79, 80, 82, 82, 82, 84, 86, 85, 85, 86, 86, 86, 87, 88,
+      87, 87, 87, 88, 88, 89, 89, 89, 89, 87, 89, 85, 83, 74, 62, 32, 87, 87, 87, 87,
+      88, 88, 89, 89, 89, 87, 1, 86, 83, 75, 63, 35, 1, 1, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3,
+      4, 6, 8, 12, 13, 15, 15},
+     0xcc67607c698e9af5ULL},
+};
+
+TEST(ActivityEngine, WakeBitSweepMatchesGoldenCounters) {
+  const SimIR ir = sim::buildFromFirrtl(wakeChainFirrtl(150, 5));
+  for (const GoldenCounters& g : kWakeChainGolden) {
+    const std::string what = "C_p=" + std::to_string(g.cp);
+    ScheduleOptions opts;
+    opts.partition.smallThreshold = g.cp;
+    ActivityEngine eng(CompiledCcss::compile(sim::CompiledDesign::compile(ir), opts));
+    eng.setProfileWindow(16);
+    eng.setProfiling(true);
+    for (uint64_t c = 0; c < 96; c++) {
+      eng.poke("in", (c / 3 + 1) * 0x9e3779b97f4a7c15ULL);  // changes every third cycle
+      eng.tick();
+    }
+
+    // The schedule shape the golden numbers are meant to cover.
+    const CondPartSchedule& sched = eng.schedule();
+    const ActivityProfile& prof = eng.profile();
+    const size_t nparts = sched.parts.size();
+    EXPECT_GT(nparts, 128u) << what;
+    EXPECT_NE(nparts % 64, 0u) << what;
+    bool crossWordWake = false, backwardRegWake = false;
+    for (size_t pos = 63; pos + 1 < nparts; pos += 64)
+      for (const PartOutput& o : sched.parts[pos].outputs)
+        for (int32_t c : o.consumers)
+          if (static_cast<size_t>(c) == pos + 1 && prof.parts[pos].wakesIssued > 0 &&
+              prof.parts[pos + 1].activations > 0)
+            crossWordWake = true;
+    for (size_t pos = 0; pos < nparts; pos++)
+      for (const SchedRegWrite& rw : sched.parts[pos].regWrites)
+        for (int32_t c : rw.wakeParts)
+          if (static_cast<size_t>(c) <= pos && prof.parts[pos].activations > 0)
+            backwardRegWake = true;
+    EXPECT_TRUE(crossWordWake) << what;
+    EXPECT_TRUE(backwardRegWake) << what;
+
+    const sim::EngineStats& st = eng.stats();
+    EXPECT_EQ(st.cycles, g.cycles) << what;
+    EXPECT_EQ(st.opsEvaluated, g.opsEvaluated) << what;
+    EXPECT_EQ(st.partitionChecks, g.partitionChecks) << what;
+    EXPECT_EQ(st.partitionActivations, g.partitionActivations) << what;
+    EXPECT_EQ(st.outputComparisons, g.outputComparisons) << what;
+    EXPECT_EQ(st.triggerSets, g.triggerSets) << what;
+    EXPECT_EQ(st.signalsChangedTotal, g.signalsChangedTotal) << what;
+    EXPECT_EQ(prof.profiledCycles, g.cycles) << what;
+    EXPECT_EQ(prof.activationsPerWindow, g.activationsPerWindow) << what;
+    ASSERT_EQ(nparts, g.partActivations.size()) << what;
+    for (size_t pos = 0; pos < nparts; pos++)
+      EXPECT_EQ(prof.parts[pos].activations, g.partActivations[pos]) << what << " part " << pos;
+    EXPECT_EQ(profileDigest(prof), g.profileDigest) << what;
   }
 }
 

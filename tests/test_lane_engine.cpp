@@ -445,6 +445,35 @@ TEST(LaneState, ResetStateRestoresFreshLane) {
   EXPECT_EQ(group.lane(0).peek("count"), fresh.peek("count"));
 }
 
+TEST(LaneState, ResetRearmsEveryPartitionOfAnIdleGroup) {
+  // Both lanes idle (no bank selected), so no partition of the group has a
+  // pending wake; resetting lane 0 must re-arm all of them for it, since a
+  // fresh engine's first tick evaluates everything.
+  auto design = compileText(designs::gatedBanksFirrtl(4, 16));
+  auto ccss = ccssOf(design);
+  auto idle = [](sim::Engine& eng) {
+    eng.poke("reset", 0);
+    eng.poke("bankSel", 999);
+    eng.poke("wdata", 5);
+  };
+  core::LaneEngine group(ccss, 2);
+  for (int i = 0; i < 20; i++) {
+    for (unsigned l = 0; l < 2; l++) idle(group.lane(l));
+    group.tick();
+  }
+  group.lane(0).resetState();
+  core::ActivityEngine fresh(ccss);
+  for (int i = 0; i < 3; i++) {
+    for (unsigned l = 0; l < 2; l++) idle(group.lane(l));
+    idle(fresh);
+    group.tick();
+    fresh.tick();
+  }
+  EXPECT_EQ(fresh.stats().partitionActivations, fresh.schedule().numPartitions());
+  expectStatsEqual(group.lane(0).stats(), fresh.stats(), "reset lane");
+  EXPECT_EQ(group.lane(0).peek("sum"), fresh.peek("sum"));
+}
+
 TEST(LaneCounters, MaskedSkipsAccountForIdleLanes) {
   // One lane active, seven idle: executed partitions carry mostly-empty
   // masks, so maskedLaneSkips must dominate and group-level skip counters
@@ -465,6 +494,9 @@ TEST(LaneCounters, MaskedSkipsAccountForIdleLanes) {
   EXPECT_GT(group.groupPartitionRuns(), 0u);
   EXPECT_GT(group.groupPartitionSkips(), 0u);
   EXPECT_GT(group.maskedLaneSkips(), 0u) << "idle lanes must ride along masked";
+  // Every tick covers every position once: it either runs or is skipped.
+  EXPECT_EQ(group.groupPartitionRuns() + group.groupPartitionSkips(),
+            100 * ccss->body->sched.numPartitions());
   // Lane 0 does more work than the idle lanes, and per-lane activity is
   // exact: idle lanes' activations stay at their solo-run level.
   EXPECT_GT(group.lane(0).stats().partitionActivations,

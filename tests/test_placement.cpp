@@ -289,6 +289,10 @@ TEST(PlacedEngine, ForcedPooledPathMatchesSerialBitsAndStats) {
   // counter merging — under tsan this is the strongest race check we have.
   // Profiling is on in both engines: every partition's activations, ops
   // and wakes, and the activity timeline, must match the serial run too.
+  // Wake bits live 64 to a word, so lanes update words they share with
+  // other lanes; at least one design must place two lanes' positions in
+  // one word, or tsan never sees those shared-word updates.
+  bool sharedWakeWord = false;
   for (const auto& [name, text] : allDesignTexts()) {
     SimIR ir = sim::buildFromFirrtl(text);
     CondPartSchedule sched = core::buildSchedule(core::Netlist::build(ir));
@@ -296,6 +300,9 @@ TEST(PlacedEngine, ForcedPooledPathMatchesSerialBitsAndStats) {
     ParallelActivityEngine par(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), sched), 4);
     par.setSerialCutoff(0);
     ASSERT_EQ(par.serialCutoff(), 0u);
+    const std::vector<int32_t>& owner = par.placement().threadOf;
+    for (size_t pos = 1; pos < owner.size(); pos++)
+      if (pos % 64 != 0 && owner[pos] != owner[pos - 1]) sharedWakeWord = true;
     for (ActivityEngine* e : {&serial, static_cast<ActivityEngine*>(&par)}) {
       e->setProfileWindow(16);
       e->setProfiling(true);
@@ -314,6 +321,7 @@ TEST(PlacedEngine, ForcedPooledPathMatchesSerialBitsAndStats) {
     EXPECT_EQ(serial.effectiveActivity(), par.effectiveActivity()) << name;
     expectProfilesEqual(serial.profile(), par.profile(), name);
   }
+  EXPECT_TRUE(sharedWakeWord);
 }
 
 TEST(PlacedEngine, SerialCutoffPathSwitchIsInvisible) {
