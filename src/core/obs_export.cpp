@@ -44,15 +44,6 @@ obs::Json scheduleSummaryJson(const CondPartSchedule& sched) {
   obs::Histogram sizes;
   for (const auto& part : sched.parts) sizes.record(part.ops.size());
   j["partition_size"] = sizes.toJson();
-  // Levelization shape: how much same-cycle parallelism the schedule
-  // exposes. critical_path is the number of level-synchronous waves;
-  // wave_width the histogram of partitions per wave.
-  j["levels"] = sched.numLevels();
-  j["critical_path"] = sched.numLevels();
-  j["max_wave_width"] = sched.maxWaveWidth();
-  obs::Histogram widths;
-  for (const auto& wave : sched.waves) widths.record(wave.size());
-  j["wave_width"] = widths.toJson();
   return j;
 }
 
@@ -61,7 +52,6 @@ obs::Json placementReportJson(const BspPlacement& placement) {
   j["threads"] = placement.threads;
   j["partitions"] = placement.threadOf.size();
   j["super_steps"] = placement.numSteps();
-  j["levels"] = placement.levels;
   j["total_edges"] = placement.totalEdges;
   j["cross_edges"] = placement.crossEdges;
   j["cut_frac"] = placement.totalEdges > 0

@@ -29,8 +29,8 @@ obs::Json partitionStatsJson(const PartitionStats& stats);
 obs::Json scheduleSummaryJson(const CondPartSchedule& sched);
 
 // Static BSP placement shape (the `placement` section of --stats-json):
-// thread width, super-step count vs the levelization depth it coarsened,
-// cut-edge fraction, and per-thread load balance.
+// thread width, super-step count, cut-edge fraction, and per-thread load
+// balance.
 obs::Json placementReportJson(const BspPlacement& placement);
 
 // Runtime work counters, keyed by Figure 7's decomposition: base work

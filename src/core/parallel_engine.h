@@ -1,9 +1,9 @@
 // Statically-placed bulk-synchronous parallel CCSS activity engine.
 //
 // A BspPlacement (core/placement.h) pins every partition to one worker lane
-// and coarsens the schedule's levels into a handful of super-steps, so a
-// pooled cycle costs ONE pool fork, (super-steps - 1) in-fork counting
-// barriers, and one join, however many levels the schedule has.
+// and groups the partitions into a handful of super-steps, so a pooled
+// cycle costs ONE pool fork, (super-steps - 1) in-fork counting barriers,
+// and one join, however deep the schedule's dependency chains are.
 //
 // The engine owns only that placement, the pool, the wake mailboxes and the
 // serial cutoff. Everything else is ActivityEngine's: the same tick(), the

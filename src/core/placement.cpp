@@ -11,9 +11,9 @@ namespace essent::core {
 std::vector<std::pair<int32_t, int32_t>> placementEdges(const CondPartSchedule& sched) {
   std::vector<std::pair<int32_t, int32_t>> edges;
   const int32_t n = static_cast<int32_t>(sched.parts.size());
-  // Previous elided-writer position per memory (hazard chains mirror
-  // levelize(): consecutive elided writers of one memory may touch the same
-  // row, so serial commit order must survive concurrent execution).
+  // Previous elided-writer position per memory: consecutive elided writers
+  // of one memory may touch the same row, so serial commit order must
+  // survive concurrent execution.
   std::vector<std::pair<int32_t, int32_t>> lastMemWriter;  // (memIdx, pos)
   for (int32_t pos = 0; pos < n; pos++) {
     const CondPart& part = sched.parts[static_cast<size_t>(pos)];
@@ -48,7 +48,6 @@ BspPlacement buildPlacement(const CondPartSchedule& sched, const PlacementOption
   obs::ScopedPhaseTimer phaseTimer("placement");
   BspPlacement p;
   const size_t n = sched.parts.size();
-  p.levels = sched.numLevels();
   if (n == 0) {
     p.threads = 1;
     p.threadCost.assign(1, 0);
@@ -111,16 +110,16 @@ BspPlacement buildPlacement(const CondPartSchedule& sched, const PlacementOption
   // Phase 1 — linear (chain) clustering along critical paths. A per-
   // position greedy placer fragments deep dependency chains whenever the
   // balance cap overrides affinity, and every fragmented chain edge becomes
-  // a cross-thread barrier — on the SoC designs that degenerated to nearly
-  // one super-step per levelization level. Instead, walk chains explicitly:
-  // seed at the unassigned position with the greatest downstream depth (the
-  // head of the residual critical path), then repeatedly absorb the
-  // unassigned successor with the greatest depth. Everything inside a chain
-  // is covered by same-thread program order, so only chain-to-chain edges
-  // can ever cost a barrier. Chains end early at the balance cap so one
-  // monster chain cannot swallow a whole thread's fair share (the split
-  // costs a single cross edge, not one per level). Ties always break to the
-  // lower schedule position — the placement is deterministic.
+  // a cross-thread barrier, so the step count approaches the dependency
+  // depth. Instead, walk chains explicitly: seed at the unassigned position
+  // with the greatest downstream depth (the head of the residual critical
+  // path), then repeatedly absorb the unassigned successor with the
+  // greatest depth. Everything inside a chain is covered by same-thread
+  // program order, so only chain-to-chain edges can ever cost a barrier.
+  // Chains end early at the balance cap so one monster chain cannot swallow
+  // a whole thread's fair share (the split costs a single cross edge, not
+  // one per chain edge). Ties always break to the lower schedule position —
+  // the placement is deterministic.
   const double cap =
       (static_cast<double>(totalCost) / static_cast<double>(T)) * (1.0 + opts.balanceSlack);
   std::vector<int32_t> seeds(n);
@@ -211,8 +210,8 @@ BspPlacement buildPlacement(const CondPartSchedule& sched, const PlacementOption
   // Super-steps: the longest path where only cross-thread edges advance the
   // step. A same-thread edge is covered by local ascending-position order
   // inside the step; a cross-thread edge needs the barrier between steps,
-  // so it forces step(u) < step(v). This is what coarsens 60+ levelization
-  // levels into a handful of super-steps once chains are co-located.
+  // so it forces step(u) < step(v). Once chains are co-located, a
+  // dependency depth of 60+ shrinks to a handful of super-steps.
   p.stepOf.assign(n, 0);
   int32_t maxStep = 0;
   for (const auto& [u, v] : edges) {

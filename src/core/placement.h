@@ -1,27 +1,24 @@
 // Static bulk-synchronous partition placement (Manticore-style, PAPERS.md).
 //
-// The wave-parallel engine paid 2 x levels barrier crossings per cycle
-// (67-77 levels on tinysoc/systolic) because it synchronized at every
-// levelization depth. This module moves all of that to compile time: it
-// assigns every schedule position to a worker thread once (load-balanced by
-// estimated or profiled cost, with dependency chains kept on one thread so
-// cut edges are minimized) and then coarsens the levels into the minimum
-// number of BSP *super-steps* the placement admits — a dependency edge that
+// Assigns every schedule position to a worker thread once, at compile time
+// (load-balanced by estimated or profiled cost, with dependency chains kept
+// on one thread so cut edges are minimized), then groups the positions into
+// the fewest BSP *super-steps* the assignment admits: a dependency edge that
 // stays on one thread costs nothing (local program order covers it), only a
 // cross-thread edge forces a barrier between its endpoints.
 //
-// Execution contract (enforced by the engine, verified by tests/test_placement):
+// placementEdges() is the one statement of cross-partition ordering; the
+// engine's race-freedom rests on it plus this execution contract (enforced
+// by the engine, verified by tests/test_placement):
 //   * within a super-step each thread runs its assigned positions in
 //     ascending schedule order (a valid topological order);
 //   * a barrier separates consecutive super-steps;
-//   * therefore for every dependency edge u -> v of the ordered partition
-//     graph (combinational producer->consumer, elision ordering
-//     reader->writer, same-memory elided-writer hazard chains):
+//   * therefore for every edge u -> v of placementEdges():
 //       - thread(u) != thread(v)  =>  step(u) <  step(v)   (barrier between)
 //       - thread(u) == thread(v)  =>  step(u) <= step(v)   (local order)
-// Those two rules are exactly what made the wave model race-free, so the
-// BSP engine inherits the serial-identical EngineStats invariant: the same
-// partitions activate, in an order indistinguishable from serial.
+// So every partition runs after everything it depends on, in an order
+// indistinguishable from serial, and the placed engine's EngineStats equal
+// the serial engine's.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +59,6 @@ struct BspPlacement {
   uint64_t totalCost = 0;
   std::vector<uint64_t> threadCost;   // per-thread summed cost
   double loadImbalance = 1.0;         // max(threadCost) / mean(threadCost)
-  size_t levels = 0;                  // levelization depth it coarsened from
 
   size_t numSteps() const { return steps.size(); }
 };
@@ -72,10 +68,16 @@ struct BspPlacement {
 BspPlacement buildPlacement(const CondPartSchedule& sched, const PlacementOptions& opts);
 
 // The dependency edges the placement must respect, as (from, to) schedule
-// positions — combinational output->consumer edges, elision ordering
-// reader->writer edges, and same-memory elided-writer hazard chains.
-// Deduplicated and sorted. Exposed so tests and tools can verify the
-// super-step contract against the real edge set.
+// positions, sorted and deduplicated. Three families:
+//   * combinational: a partition output -> each partition consuming it;
+//   * elision ordering: each cross-partition reader of an elided register
+//     or memory -> the partition writing it in place (the reader must see
+//     the old value);
+//   * same-memory chain: consecutive (in schedule order) partitions holding
+//     elided writes to one memory, which may hit the same row, so their
+//     commits keep serial order.
+// Every edge runs forward in the schedule (u < v). Exposed so tests and
+// tools can verify the super-step contract against the real edge set.
 std::vector<std::pair<int32_t, int32_t>> placementEdges(const CondPartSchedule& sched);
 
 }  // namespace essent::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/phase_timer.h"
 
@@ -17,59 +16,7 @@ std::vector<int32_t> dedupSorted(std::vector<int32_t> v) {
   return v;
 }
 
-// Longest-path levelization of the ordered partition graph. Operates on
-// partition ids (the graph's node space); edges all point from earlier to
-// later schedule positions (elision.schedule is a topo order of the graph),
-// so a single pass in schedule order suffices. Beyond the graph's own edges
-// (combinational producer->consumer plus the elision ordering edges
-// reader->writer), elided writes to the same memory from different
-// partitions are chained in schedule order: two such writers may touch the
-// same row, and keeping them in distinct waves preserves the serial commit
-// order under concurrent wave execution.
-void levelize(CondPartSchedule& sched, const ElisionResult& elision,
-              const std::vector<int32_t>& posOfPart) {
-  const size_t n = elision.schedule.size();
-  sched.levelOf.assign(n, 0);
-  sched.waves.clear();
-  if (n == 0) return;
-
-  std::vector<int32_t> levelOfPart(n, 0);
-  auto raise = [&](int32_t from, int32_t to) {
-    int32_t& lv = levelOfPart[static_cast<size_t>(to)];
-    lv = std::max(lv, levelOfPart[static_cast<size_t>(from)] + 1);
-  };
-  // Memory hazard chains, keyed by mem index: previous elided-writer
-  // partition (in schedule order) -> next one.
-  std::vector<int32_t> lastMemWriter(elision.memWriteElided.size(), -1);
-  for (int32_t pid : elision.schedule) {
-    // Incoming hazard edges first: they finalize this partition's level
-    // before it propagates to its successors.
-    const CondPart& part = sched.parts[static_cast<size_t>(posOfPart[static_cast<size_t>(pid)])];
-    for (const SchedMemWrite& mw : part.memWrites) {
-      int32_t& prev = lastMemWriter[static_cast<size_t>(mw.memIdx)];
-      if (prev >= 0 && prev != pid) raise(prev, pid);
-      prev = pid;
-    }
-    for (int32_t succ : elision.orderedPartGraph.outNeighbors(pid)) raise(pid, succ);
-  }
-
-  int32_t maxLevel = 0;
-  for (size_t pid = 0; pid < n; pid++) {
-    sched.levelOf[static_cast<size_t>(posOfPart[pid])] = levelOfPart[pid];
-    maxLevel = std::max(maxLevel, levelOfPart[pid]);
-  }
-  sched.waves.resize(static_cast<size_t>(maxLevel) + 1);
-  for (size_t pos = 0; pos < n; pos++)
-    sched.waves[static_cast<size_t>(sched.levelOf[pos])].push_back(static_cast<int32_t>(pos));
-}
-
 }  // namespace
-
-size_t CondPartSchedule::maxWaveWidth() const {
-  size_t w = 0;
-  for (const auto& wave : waves) w = std::max(w, wave.size());
-  return w;
-}
 
 CondPartSchedule buildScheduleFrom(const Netlist& nl, const Partitioning& parts,
                                    bool stateElision) {
@@ -181,8 +128,6 @@ CondPartSchedule buildScheduleFrom(const Netlist& nl, const Partitioning& parts,
       wake.push_back(posOfNode(node));
     sched.inputConsumers[i] = dedupSorted(std::move(wake));
   }
-
-  levelize(sched, elision, posOfPart);
 
   return sched;
 }

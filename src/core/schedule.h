@@ -49,17 +49,6 @@ struct CondPartSchedule {
   std::vector<SchedRegWrite> deferredRegs;
   std::vector<SchedMemWrite> deferredMemWrites;
 
-  // Levelization of the acyclic ordered partition graph: levelOf[pos] is the
-  // longest-path depth of the partition at schedule position pos (0 for
-  // sources), computed over the combinational partition edges, the elision
-  // ordering edges (reader before writer), and a chain over partitions
-  // holding elided writes to the same memory. Partitions at the same level
-  // are mutually independent within a cycle, so each wave can be evaluated
-  // concurrently between barriers; waves[l] lists the schedule positions at
-  // level l in ascending order. waves.size() is the critical-path length.
-  std::vector<int32_t> levelOf;
-  std::vector<std::vector<int32_t>> waves;
-
   // Reporting.
   size_t elidedRegs = 0;
   size_t elidedMemWrites = 0;
@@ -67,8 +56,6 @@ struct CondPartSchedule {
   PartitionStats partitionStats;
 
   size_t numPartitions() const { return parts.size(); }
-  size_t numLevels() const { return waves.size(); }
-  size_t maxWaveWidth() const;
 };
 
 struct ScheduleOptions {

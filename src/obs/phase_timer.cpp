@@ -1,7 +1,12 @@
 #include "obs/phase_timer.h"
 
+#include <algorithm>
 #include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "obs/stats.h"
 #include "obs/trace.h"
 
 namespace essent::obs {
@@ -13,9 +18,10 @@ std::mutex& timingMutex() {
   return m;
 }
 
-Registry& timingRegistry() {
-  static Registry r;
-  return r;
+// Phase name -> accumulated timer, in first-execution order.
+std::vector<std::pair<std::string, Timer>>& phaseTimers() {
+  static std::vector<std::pair<std::string, Timer>> timers;
+  return timers;
 }
 
 }  // namespace
@@ -27,17 +33,26 @@ ScopedPhaseTimer::~ScopedPhaseTimer() {
   if (TraceSession* s = TraceSession::current())
     s->complete(phase_, s->toNs(start_), TraceCat::Busy);
   std::lock_guard<std::mutex> lock(timingMutex());
-  timingRegistry().timer(phase_).record(elapsed);
+  auto& timers = phaseTimers();
+  auto it = std::find_if(timers.begin(), timers.end(),
+                         [&](const auto& t) { return t.first == phase_; });
+  if (it == timers.end()) it = timers.emplace(timers.end(), phase_, Timer{});
+  it->second.record(elapsed);
 }
 
 Json phaseTimingsJson() {
   std::lock_guard<std::mutex> lock(timingMutex());
-  return timingRegistry().toJson();
+  Json j = Json::object();
+  if (phaseTimers().empty()) return j;
+  Json& t = j["timers"];
+  t = Json::object();
+  for (const auto& [name, timer] : phaseTimers()) t[name] = timer.toJson();
+  return j;
 }
 
 void resetPhaseTimings() {
   std::lock_guard<std::mutex> lock(timingMutex());
-  timingRegistry().clear();
+  phaseTimers().clear();
 }
 
 }  // namespace essent::obs

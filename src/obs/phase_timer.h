@@ -1,24 +1,24 @@
 // RAII wall-clock phase timers for the compile flow. Each pipeline pass
 // (parse, lower, build-ir, netlist, mffc, merge phases, schedule, codegen)
 // wraps itself in a ScopedPhaseTimer; totals accumulate in a process-global
-// registry so any tool can attribute where compile time went without
+// list of timers so any tool can attribute where compile time went without
 // threading a context object through every layer.
 //
 // Recording happens once per phase invocation (two steady_clock reads and
-// one mutex-guarded map update), which is noise next to the passes being
+// one mutex-guarded list update), which is noise next to the passes being
 // timed — the timers stay on unconditionally.
 #pragma once
 
 #include <chrono>
 
-#include "obs/stats.h"
+#include "obs/json.h"
 
 namespace essent::obs {
 
-// The global phase-timing registry. Snapshot with phaseTimingsJson(),
-// zero between independent compilations with resetPhaseTimings().
-// Access is internally synchronized; the returned JSON lists phases in
-// first-execution order.
+// The global phase timings. Snapshot with phaseTimingsJson() —
+// {"timers": {phase: {seconds, calls}, ...}} in first-execution order, or
+// {} before any phase ran — and zero them between independent compilations
+// with resetPhaseTimings(). Access is internally synchronized.
 Json phaseTimingsJson();
 void resetPhaseTimings();
 

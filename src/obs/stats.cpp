@@ -2,19 +2,6 @@
 
 namespace essent::obs {
 
-namespace {
-
-// Returns the existing entry for `name` or appends a default one.
-template <typename T, typename Make>
-T& findOrAdd(std::vector<std::pair<std::string, T>>& vec, const std::string& name, Make make) {
-  for (auto& [k, v] : vec)
-    if (k == name) return v;
-  vec.emplace_back(name, make());
-  return vec.back().second;
-}
-
-}  // namespace
-
 void Histogram::record(uint64_t value) {
   count_++;
   sum_ += value;
@@ -46,71 +33,6 @@ Json Timer::toJson() const {
   Json j = Json::object();
   j["seconds"] = seconds;
   j["calls"] = calls;
-  return j;
-}
-
-Registry& Registry::child(const std::string& name) {
-  return *findOrAdd(children_, name, [] { return std::make_unique<Registry>(); });
-}
-
-const Registry* Registry::findChild(const std::string& name) const {
-  for (const auto& [k, v] : children_)
-    if (k == name) return v.get();
-  return nullptr;
-}
-
-uint64_t& Registry::counter(const std::string& name) {
-  return findOrAdd(counters_, name, [] { return uint64_t{0}; });
-}
-
-double& Registry::gauge(const std::string& name) {
-  return findOrAdd(gauges_, name, [] { return 0.0; });
-}
-
-Timer& Registry::timer(const std::string& name) {
-  return findOrAdd(timers_, name, [] { return Timer{}; });
-}
-
-Histogram& Registry::histogram(const std::string& name) {
-  return findOrAdd(histograms_, name, [] { return Histogram{}; });
-}
-
-bool Registry::empty() const {
-  return counters_.empty() && gauges_.empty() && timers_.empty() && histograms_.empty() &&
-         children_.empty();
-}
-
-void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  timers_.clear();
-  histograms_.clear();
-  children_.clear();
-}
-
-Json Registry::toJson() const {
-  Json j = Json::object();
-  if (!counters_.empty()) {
-    Json& c = j["counters"];
-    c = Json::object();
-    for (const auto& [k, v] : counters_) c[k] = v;
-  }
-  if (!gauges_.empty()) {
-    Json& g = j["gauges"];
-    g = Json::object();
-    for (const auto& [k, v] : gauges_) g[k] = v;
-  }
-  if (!timers_.empty()) {
-    Json& t = j["timers"];
-    t = Json::object();
-    for (const auto& [k, v] : timers_) t[k] = v.toJson();
-  }
-  if (!histograms_.empty()) {
-    Json& h = j["histograms"];
-    h = Json::object();
-    for (const auto& [k, v] : histograms_) h[k] = v.toJson();
-  }
-  for (const auto& [k, v] : children_) j[k] = v->toJson();
   return j;
 }
 

@@ -1,18 +1,10 @@
-// Hierarchical stats registry: named trees of counters, gauges, timers,
-// and histograms, serializable to JSON (obs/json.h). This is the common
-// currency between the compile-time phase timers, the runtime engine
-// profiles, and the bench reporters — one schema, one writer.
-//
-// A Registry node is cheap to create and navigate; recording into a
-// counter/timer/histogram is an O(1) hash lookup plus an add, so it can sit
-// on warm (not per-op hot) paths. The truly hot paths keep raw struct
-// counters (sim::EngineStats, core::ActivityProfile) and export into a
-// Registry only when a report is built.
+// Report-building value types, serializable to JSON (obs/json.h): an
+// integer-sample histogram (the schedule's partition-size summary) and an
+// accumulating wall-clock timer (the compile phase timings). Live runtime
+// metrics go to obs::MetricsRegistry (obs/metrics.h) instead.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "obs/json.h"
@@ -47,45 +39,6 @@ struct Timer {
   uint64_t calls = 0;
   void record(double s) { seconds += s; calls++; }
   Json toJson() const;
-};
-
-// One node in the stats tree. Children, counters, gauges, timers, and
-// histograms each live in their own namespace; JSON serialization nests
-// children inline and groups the leaf kinds under stable keys so consumers
-// can tell a counter from a timer without guessing.
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  // Child lookup, creating on first use. Path components must be non-empty.
-  Registry& child(const std::string& name);
-  const Registry* findChild(const std::string& name) const;
-
-  uint64_t& counter(const std::string& name);
-  void addCounter(const std::string& name, uint64_t delta) { counter(name) += delta; }
-  double& gauge(const std::string& name);
-  Timer& timer(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
-  bool empty() const;
-  void clear();
-
-  // Schema: { "counters": {...}, "gauges": {...}, "timers": {...},
-  //           "histograms": {...}, "<child>": {...}, ... } with empty
-  // sections omitted. Insertion order is preserved throughout.
-  Json toJson() const;
-
- private:
-  template <typename T>
-  using NamedVec = std::vector<std::pair<std::string, T>>;
-
-  NamedVec<uint64_t> counters_;
-  NamedVec<double> gauges_;
-  NamedVec<Timer> timers_;
-  NamedVec<Histogram> histograms_;
-  NamedVec<std::unique_ptr<Registry>> children_;
 };
 
 }  // namespace essent::obs

@@ -26,7 +26,7 @@ void ThreadPool::failSpawnsAfterForTest(unsigned spawned) {
 namespace {
 
 // Spin-then-yield budget while parked between forks. The spin phase covers
-// back-to-back waves (the common case mid-cycle); the yield phase covers
+// back-to-back forks (the common case mid-cycle); the yield phase covers
 // the sequential gap between cycles; the condition variable catches
 // genuinely idle pools and oversubscribed machines. Spinning only makes
 // sense when the thread we wait on can run concurrently — on a single
@@ -111,7 +111,7 @@ void ThreadPool::run(const std::function<void(unsigned)>& fn) {
     fn(0);
   }
 
-  // Join: spin-then-yield; the join gap is bounded by one wave's work.
+  // Join: spin-then-yield; the join gap is bounded by one fork's work.
   uint64_t joinT0 = s ? s->nowNs() : 0;
   int spins = 0;
   while (pending_.load(std::memory_order_acquire) != 0) {

@@ -1,10 +1,10 @@
 // Persistent fork/join thread pool tuned for the activity engine's short
-// level-synchronous waves.
+// bulk-synchronous super-steps.
 //
-// One pool is created per parallel engine and reused for every wave of
-// every cycle: workers park on an epoch counter between forks, spinning
-// briefly, then yielding, then falling back to a condition variable — so a
-// microsecond-scale wave never pays a futex round trip, while an idle pool
+// One pool is created per parallel engine and reused for every cycle:
+// workers park on an epoch counter between forks, spinning briefly, then
+// yielding, then falling back to a condition variable — so a
+// microsecond-scale fork never pays a futex round trip, while an idle pool
 // does not burn a core. run() is the only entry point: it executes fn(lane)
 // on every lane (lane 0 on the calling thread, which always participates)
 // and returns once all lanes have finished; the epoch handoff gives

@@ -81,7 +81,7 @@ TEST_P(RandomEquiv, AllEnginesAgree) {
   auto m2 = compareEngines(ref2, act, 120, randomStimulus(seed * 31 + 1, toggleP));
   EXPECT_FALSE(m2.has_value()) << "ccss: " << m2->describe() << "\n" << text;
 
-  // The wave-parallel engine must agree signal-for-signal too, at both a
+  // The placed parallel engine must agree signal-for-signal too, at both a
   // narrow and a wide pool.
   for (unsigned threads : {2u, 4u}) {
     FullCycleEngine ref3(sim::CompiledDesign::compile(ir));
@@ -118,7 +118,7 @@ TEST_P(CpEquiv, CcssMatchesReferenceAtEveryCp) {
     auto m = compareEngines(ref, act, 100, randomStimulus(seed, 0.2));
     EXPECT_FALSE(m.has_value()) << "cp=" << cp << " seed=" << seed << ": " << m->describe();
 
-    // Granularity changes reshape the waves; the parallel engine must stay
+    // Granularity changes reshape the placement; the parallel engine must stay
     // correct at every C_p, including the degenerate fine partitioning.
     FullCycleEngine ref2(sim::CompiledDesign::compile(ir));
     ParallelActivityEngine par(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), opts), 2);

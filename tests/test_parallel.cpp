@@ -1,8 +1,8 @@
-// Wave-parallel execution tests: thread-pool fork/join semantics, the
-// levelization invariants that make lock-free partition sweeps safe, and
-// exact equivalence (signals AND work counters) between the serial and
-// parallel CCSS engines. Labelled `par` so the tsan preset can run just
-// this group.
+// Parallel execution tests: thread-pool fork/join semantics and exact
+// equivalence (signals AND work counters) between the serial and parallel
+// CCSS engines. The ordering rules that make the placed sweep race-free
+// are checked in test_placement.cpp. Labelled `par` so the tsan preset can
+// run just this group.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -92,113 +92,6 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnv) {
   EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
   unsetenv("ESSENT_THREADS");
   EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
-}
-
-// --- Levelization invariants ---------------------------------------------
-//
-// The race-freedom argument for the wave-parallel sweep rests on three
-// structural properties of the levelization; check them on every design
-// shape we have (see docs/PARALLEL.md for why each one matters).
-
-void checkLevelizationInvariants(const CondPartSchedule& sched, const std::string& what) {
-  const size_t n = sched.parts.size();
-  ASSERT_EQ(sched.levelOf.size(), n) << what;
-
-  // Waves partition the schedule positions, ascending within each wave,
-  // and agree with levelOf.
-  std::vector<uint8_t> seen(n, 0);
-  for (size_t l = 0; l < sched.waves.size(); l++) {
-    EXPECT_FALSE(sched.waves[l].empty()) << what << ": empty wave " << l;
-    for (size_t k = 0; k < sched.waves[l].size(); k++) {
-      int32_t pos = sched.waves[l][k];
-      ASSERT_GE(pos, 0);
-      ASSERT_LT(static_cast<size_t>(pos), n);
-      EXPECT_EQ(sched.levelOf[static_cast<size_t>(pos)], static_cast<int32_t>(l)) << what;
-      EXPECT_EQ(seen[static_cast<size_t>(pos)], 0) << what << ": position listed twice";
-      seen[static_cast<size_t>(pos)] = 1;
-      if (k > 0) {
-        EXPECT_LT(sched.waves[l][k - 1], pos) << what << ": wave not ascending";
-      }
-    }
-  }
-  for (size_t pos = 0; pos < n; pos++) EXPECT_EQ(seen[pos], 1) << what << ": position unplaced";
-
-  std::vector<std::vector<size_t>> memWriters;  // memIdx -> positions, schedule order
-  for (size_t pos = 0; pos < n; pos++) {
-    const core::CondPart& part = sched.parts[pos];
-    const int32_t myLevel = sched.levelOf[pos];
-
-    // (1) Combinational wakes cross to a STRICTLY later wave: a consumer
-    //     woken mid-wave must not be swept concurrently in the same wave.
-    for (const core::PartOutput& o : part.outputs)
-      for (int32_t c : o.consumers)
-        EXPECT_GT(sched.levelOf[static_cast<size_t>(c)], myLevel)
-            << what << ": output consumer not in a later wave";
-
-    // (2) Elided state wakes target this partition or a STRICTLY earlier
-    //     wave (readers are scheduled before the writer): setting those
-    //     flags can never race with a same-wave test-and-clear.
-    for (const core::SchedRegWrite& rw : part.regWrites)
-      for (int32_t w : rw.wakeParts)
-        EXPECT_TRUE(w == static_cast<int32_t>(pos) ||
-                    sched.levelOf[static_cast<size_t>(w)] < myLevel)
-            << what << ": reg wake target in same/later wave";
-    for (const core::SchedMemWrite& mw : part.memWrites) {
-      for (int32_t w : mw.wakeParts)
-        EXPECT_TRUE(w == static_cast<int32_t>(pos) ||
-                    sched.levelOf[static_cast<size_t>(w)] < myLevel)
-            << what << ": mem wake target in same/later wave";
-      size_t mem = static_cast<size_t>(mw.memIdx);
-      if (memWriters.size() <= mem) memWriters.resize(mem + 1);
-      memWriters[mem].push_back(pos);
-    }
-  }
-
-  // (3) Two partitions with elided writes to the same memory never share a
-  //     wave (they may hit the same row): the hazard chain must have
-  //     separated them, in schedule order.
-  for (const auto& writers : memWriters)
-    for (size_t i = 1; i < writers.size(); i++)
-      EXPECT_LT(sched.levelOf[writers[i - 1]], sched.levelOf[writers[i]])
-          << what << ": same-mem elided writers share a wave";
-}
-
-TEST(Levelization, InvariantsHoldAcrossDesignsAndGranularities) {
-  std::vector<std::pair<std::string, std::string>> texts = {
-      {"gatedBanks", designs::gatedBanksFirrtl(16, 16)},
-      {"gcd", designs::gcdFirrtl(16)},
-      {"pipeline", designs::pipelineFirrtl(6, 16)},
-      {"systolic", designs::systolicFirrtl(designs::SystolicConfig{})},
-      {"tinysoc", designs::tinySoCFirrtl(designs::socTiny())},
-  };
-  for (uint64_t seed : {21ull, 22ull, 23ull, 24ull})
-    texts.emplace_back("random" + std::to_string(seed), designs::randomDesignFirrtl(seed));
-
-  for (const auto& [name, text] : texts) {
-    SimIR ir = sim::buildFromFirrtl(text);
-    core::Netlist nl = core::Netlist::build(ir);
-    for (uint32_t cp : {0u, 4u, 64u}) {
-      ScheduleOptions opts;
-      opts.partition.smallThreshold = cp;
-      CondPartSchedule sched = core::buildSchedule(nl, opts);
-      checkLevelizationInvariants(sched, name + "/cp" + std::to_string(cp));
-    }
-    // Elision off: no in-partition state writes, so invariant (2)/(3) are
-    // vacuous but (1) and the wave partition must still hold.
-    ScheduleOptions noElide;
-    noElide.stateElision = false;
-    checkLevelizationInvariants(core::buildSchedule(nl, noElide), name + "/noelide");
-  }
-}
-
-TEST(Levelization, CriticalPathExportedAndBounded) {
-  SimIR ir = sim::buildFromFirrtl(designs::tinySoCFirrtl(designs::socTiny()));
-  CondPartSchedule sched = core::buildSchedule(core::Netlist::build(ir));
-  EXPECT_GT(sched.numLevels(), 0u);
-  EXPECT_LE(sched.numLevels(), sched.parts.size());
-  size_t widest = 0;
-  for (const auto& w : sched.waves) widest = std::max(widest, w.size());
-  EXPECT_EQ(sched.maxWaveWidth(), widest);
 }
 
 // --- Serial vs parallel engine equivalence --------------------------------

@@ -1,9 +1,10 @@
-// Static BSP placement tests: structural invariants of buildPlacement()
-// (every position placed exactly once, super-step ordering respects every
-// dependency edge, nonempty threads, determinism) and end-to-end serial-vs-
-// placed bit- and stats-identity with the serial cutoff disabled so every
-// cycle takes the pooled super-step path. Part of the `par` label so the
-// tsan preset runs all of it.
+// Static BSP placement tests: the ordering rules placementEdges() states
+// (each edge family present, every edge forward), structural invariants of
+// buildPlacement() (every position placed exactly once, super-step ordering
+// respects every edge, nonempty threads, determinism) and end-to-end
+// serial-vs-placed bit- and stats-identity with the serial cutoff disabled
+// so every cycle takes the pooled super-step path. Part of the `par` label
+// so the tsan preset runs all of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,6 +50,48 @@ std::string readCorpus(const std::string& name) {
   return ss.str();
 }
 
+// One memory, one read port, two write ports fed by independent logic: both
+// writes are elided into two different partitions, so placementEdges() must
+// chain them (no other design here elides two writers of one memory).
+std::string twoWriterMemFirrtl() {
+  return R"(circuit TwoWriterMem :
+  module TwoWriterMem :
+    input clock : Clock
+    input reset : UInt<1>
+    input a0 : UInt<2>
+    input d0 : UInt<8>
+    input e0 : UInt<1>
+    input a1 : UInt<2>
+    input d1 : UInt<8>
+    input e1 : UInt<1>
+    input ra : UInt<2>
+    output q : UInt<8>
+    mem m :
+      data-type => UInt<8>
+      depth => 4
+      read-latency => 0
+      write-latency => 1
+      read-under-write => undefined
+      reader => r
+      writer => w0
+      writer => w1
+    m.r.addr <= ra
+    m.r.en <= UInt<1>(1)
+    m.r.clk <= clock
+    m.w0.addr <= a0
+    m.w0.en <= e0
+    m.w0.clk <= clock
+    m.w0.data <= add(d0, UInt<8>(1))
+    m.w0.mask <= UInt<1>(1)
+    m.w1.addr <= a1
+    m.w1.en <= e1
+    m.w1.clk <= clock
+    m.w1.data <= xor(d1, UInt<8>(85))
+    m.w1.mask <= UInt<1>(1)
+    q <= m.r.data
+)";
+}
+
 // Every design shape we have, including the committed fuzz-corpus corner
 // circuits — the placement contract must hold on all of them.
 std::vector<std::pair<std::string, std::string>> allDesignTexts() {
@@ -61,10 +104,93 @@ std::vector<std::pair<std::string, std::string>> allDesignTexts() {
       {"corner_mem_rw", readCorpus("corner_mem_rw.fir")},
       {"corner_mux_deep", readCorpus("corner_mux_deep.fir")},
       {"corner_zero_width", readCorpus("corner_zero_width.fir")},
+      {"twoWriterMem", twoWriterMemFirrtl()},
   };
   for (uint64_t seed : {41ull, 42ull, 43ull})
     texts.emplace_back("random" + std::to_string(seed), designs::randomDesignFirrtl(seed));
   return texts;
+}
+
+// Level of each position: the longest path over placementEdges() ending
+// there, counted in positions (sources are level 1). Relaxed to a fixpoint,
+// so it assumes nothing about edge order; at most n passes, so a (broken)
+// cyclic edge set cannot hang the test.
+std::vector<size_t> dependencyLevels(const CondPartSchedule& sched) {
+  const size_t n = sched.parts.size();
+  std::vector<size_t> level(n, 1);
+  const auto edges = core::placementEdges(sched);
+  bool changed = true;
+  for (size_t pass = 0; changed && pass <= n; pass++) {
+    changed = false;
+    for (const auto& [u, v] : edges) {
+      size_t& lv = level[static_cast<size_t>(v)];
+      if (lv < level[static_cast<size_t>(u)] + 1) {
+        lv = level[static_cast<size_t>(u)] + 1;
+        changed = true;
+      }
+    }
+  }
+  return level;
+}
+
+// The dependency depth, which bounds the super-steps any placement may need.
+size_t dependencyDepth(const CondPartSchedule& sched) {
+  size_t longest = 0;
+  for (size_t d : dependencyLevels(sched)) longest = std::max(longest, d);
+  return longest;
+}
+
+// The ordering rules placementEdges() states, checked against the schedule
+// they come from: each of the three edge families is present, nothing else
+// is, and every edge is a sorted, unique, forward edge of the schedule.
+void checkEdgeRules(const CondPartSchedule& sched, const std::string& what) {
+  const int32_t n = static_cast<int32_t>(sched.parts.size());
+  auto edges = core::placementEdges(sched);
+  std::set<std::pair<int32_t, int32_t>> have(edges.begin(), edges.end());
+  EXPECT_EQ(have.size(), edges.size()) << what << ": duplicate edges";
+  EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end())) << what;
+  for (const auto& [u, v] : edges) {
+    ASSERT_GE(u, 0) << what;
+    ASSERT_LT(v, n) << what;
+    EXPECT_LT(u, v) << what << ": edge " << u << "->" << v << " runs against schedule order";
+  }
+
+  std::set<std::pair<int32_t, int32_t>> expected;
+  auto expectEdge = [&](int32_t u, int32_t v, const char* family) {
+    expected.emplace(u, v);
+    EXPECT_TRUE(have.count({u, v})) << what << ": missing " << family << " edge " << u
+                                    << "->" << v;
+  };
+  std::vector<std::vector<int32_t>> memWriters;  // memIdx -> positions, schedule order
+  for (int32_t pos = 0; pos < n; pos++) {
+    const core::CondPart& part = sched.parts[static_cast<size_t>(pos)];
+    // (1) Every output consumer runs after its producer.
+    for (const core::PartOutput& o : part.outputs)
+      for (int32_t c : o.consumers) expectEdge(pos, c, "producer->consumer");
+    // (2) Every other partition woken by an elided state write reads the
+    //     old value, so it is scheduled earlier and ordered before the writer.
+    auto readersBeforeWriter = [&](const std::vector<int32_t>& wakeParts, const char* family) {
+      for (int32_t r : wakeParts) {
+        if (r == pos) continue;
+        EXPECT_LT(r, pos) << what << ": " << family << " reader scheduled after its writer";
+        expectEdge(r, pos, family);
+      }
+    };
+    for (const core::SchedRegWrite& rw : part.regWrites)
+      readersBeforeWriter(rw.wakeParts, "reg reader->writer");
+    for (const core::SchedMemWrite& mw : part.memWrites) {
+      readersBeforeWriter(mw.wakeParts, "mem reader->writer");
+      size_t mem = static_cast<size_t>(mw.memIdx);
+      if (memWriters.size() <= mem) memWriters.resize(mem + 1);
+      memWriters[mem].push_back(pos);
+    }
+  }
+  // (3) Consecutive partitions holding elided writes to one memory are
+  //     chained: they may hit the same row, so commits keep serial order.
+  for (const auto& writers : memWriters)
+    for (size_t i = 1; i < writers.size(); i++)
+      if (writers[i - 1] != writers[i]) expectEdge(writers[i - 1], writers[i], "same-mem chain");
+  EXPECT_EQ(expected.size(), have.size()) << what << ": edge outside the three families";
 }
 
 // The full execution contract from placement.h, checked against the real
@@ -78,10 +204,9 @@ void checkPlacementContract(const CondPartSchedule& sched, const BspPlacement& p
   EXPECT_LE(p.threads, std::max<unsigned>(1, requestedThreads)) << what;
   EXPECT_LE(static_cast<size_t>(p.threads), std::max<size_t>(n, 1)) << what;
 
-  // Super-steps never exceed the levelization depth they coarsened — the
-  // whole point of the placement is fewer barriers, not more.
-  EXPECT_EQ(p.levels, sched.numLevels()) << what;
-  EXPECT_LE(p.numSteps(), std::max<size_t>(p.levels, 1)) << what;
+  // Super-steps never exceed the dependency depth — the whole point of the
+  // placement is fewer barriers, not more.
+  EXPECT_LE(p.numSteps(), std::max<size_t>(dependencyDepth(sched), 1)) << what;
   if (n > 0) {
     EXPECT_GE(p.numSteps(), 1u) << what;
   }
@@ -170,6 +295,27 @@ TEST(Placement, ContractHoldsWithoutElision) {
   }
 }
 
+TEST(Levelization, InvariantsHoldAcrossDesignsAndGranularities) {
+  // The dependency order of partitions (the levelization a placement
+  // coarsens into super-steps) is exactly the placementEdges() rules.
+  auto texts = allDesignTexts();
+  for (uint64_t seed : {21ull, 22ull, 23ull, 24ull})
+    texts.emplace_back("random" + std::to_string(seed), designs::randomDesignFirrtl(seed));
+  for (const auto& [name, text] : texts) {
+    SimIR ir = sim::buildFromFirrtl(text);
+    core::Netlist nl = core::Netlist::build(ir);
+    for (uint32_t cp : {0u, 4u, 64u}) {
+      ScheduleOptions opts;
+      opts.partition.smallThreshold = cp;
+      checkEdgeRules(core::buildSchedule(nl, opts), name + "/cp" + std::to_string(cp));
+    }
+    // Elision off: only the producer->consumer family remains.
+    ScheduleOptions noElide;
+    noElide.stateElision = false;
+    checkEdgeRules(core::buildSchedule(nl, noElide), name + "/noelide");
+  }
+}
+
 TEST(Placement, EdgesAreSortedDedupedAndMatchLevelization) {
   for (const auto& [name, text] : allDesignTexts()) {
     SimIR ir = sim::buildFromFirrtl(text);
@@ -179,10 +325,12 @@ TEST(Placement, EdgesAreSortedDedupedAndMatchLevelization) {
     EXPECT_EQ(uniq.size(), edges.size()) << name << ": duplicate edges";
     EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end())) << name;
     // Every edge family the engine relies on is a forward edge of the
-    // schedule order (readers precede writers; consumers follow producers).
+    // schedule order (readers precede writers; consumers follow producers),
+    // and its endpoints sit on strictly increasing dependency levels.
+    const std::vector<size_t> level = dependencyLevels(sched);
     for (const auto& [u, v] : edges) {
       EXPECT_LT(u, v) << name << ": placement edge runs against schedule order";
-      EXPECT_LT(sched.levelOf[static_cast<size_t>(u)], sched.levelOf[static_cast<size_t>(v)])
+      EXPECT_LT(level[static_cast<size_t>(u)], level[static_cast<size_t>(v)])
           << name << ": edge endpoints share a level";
     }
   }
@@ -205,12 +353,13 @@ TEST(Placement, DeterministicAcrossCalls) {
 }
 
 TEST(Placement, CoarsensDeepLevelizations) {
-  // The motivating pathology: tinysoc levelizes to dozens of waves but the
-  // placement should need far fewer barriers. On one thread it must
-  // collapse to a single super-step (no cross edges at all).
+  // The motivating pathology: tinysoc's dependency depth is dozens of
+  // partitions but the placement should need far fewer barriers. On one
+  // thread it must collapse to a single super-step (no cross edges at all).
   SimIR ir = sim::buildFromFirrtl(designs::tinySoCFirrtl(designs::socTiny()));
   CondPartSchedule sched = core::buildSchedule(core::Netlist::build(ir));
-  ASSERT_GT(sched.numLevels(), 8u);
+  const size_t depth = dependencyDepth(sched);
+  ASSERT_GT(depth, 8u);
 
   PlacementOptions one;
   one.threads = 1;
@@ -221,8 +370,7 @@ TEST(Placement, CoarsensDeepLevelizations) {
   PlacementOptions four;
   four.threads = 4;
   BspPlacement p4 = core::buildPlacement(sched, four);
-  EXPECT_LT(p4.numSteps(), sched.numLevels())
-      << "placement did not coarsen the levelization";
+  EXPECT_LT(p4.numSteps(), depth) << "placement did not coarsen the dependency depth";
 }
 
 TEST(Placement, ProfiledCostsRebalanceLoad) {
@@ -322,6 +470,60 @@ TEST(PlacedEngine, ForcedPooledPathMatchesSerialBitsAndStats) {
     expectProfilesEqual(serial.profile(), par.profile(), name);
   }
   EXPECT_TRUE(sharedWakeWord);
+}
+
+TEST(PlacedEngine, SameMemoryElidedWritersKeepSerialCommitOrder) {
+  // Both write ports of the memory are elided into different partitions.
+  // When they write one row in the same cycle, the later one in schedule
+  // order must win, as in the serial engine; only the same-memory chain
+  // edge keeps the two partitions out of one super-step on two threads.
+  SimIR ir = sim::buildFromFirrtl(twoWriterMemFirrtl());
+  CondPartSchedule sched = core::buildSchedule(core::Netlist::build(ir));
+  std::vector<int32_t> writers;
+  for (size_t pos = 0; pos < sched.parts.size(); pos++)
+    for (const core::SchedMemWrite& mw : sched.parts[pos].memWrites) {
+      EXPECT_EQ(mw.memIdx, 0);
+      writers.push_back(static_cast<int32_t>(pos));
+    }
+  ASSERT_EQ(writers.size(), 2u);
+  ASSERT_LT(writers[0], writers[1]) << "both writes elided into one partition";
+  auto edges = core::placementEdges(sched);
+  EXPECT_TRUE(std::binary_search(edges.begin(), edges.end(),
+                                 std::make_pair(writers[0], writers[1])))
+      << "same-memory chain edge missing";
+
+  ActivityEngine serial(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), sched));
+  ParallelActivityEngine par(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), sched), 4);
+  par.setSerialCutoff(0);
+  const BspPlacement& p = par.placement();
+  checkPlacementContract(sched, p, 4, "twoWriterMem");
+  // The writers sit on different threads, so the chain edge is a barrier.
+  EXPECT_NE(p.threadOf[static_cast<size_t>(writers[0])],
+            p.threadOf[static_cast<size_t>(writers[1])]);
+
+  Rng draw(99);
+  size_t collisions = 0;
+  for (uint64_t c = 0; c < 200; c++) {
+    const uint64_t a0 = draw.nextBelow(4), a1 = draw.nextBelow(4);
+    const uint64_t e0 = draw.nextBelow(4) != 0, e1 = draw.nextBelow(4) != 0;
+    const uint64_t d0 = draw.nextBelow(256), d1 = draw.nextBelow(256);
+    const uint64_t ra = draw.nextBelow(4);
+    if (e0 && e1 && a0 == a1) collisions++;
+    for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+      e->poke("reset", 0);
+      e->poke("a0", a0);
+      e->poke("a1", a1);
+      e->poke("e0", e0);
+      e->poke("e1", e1);
+      e->poke("d0", d0);
+      e->poke("d1", d1);
+      e->poke("ra", ra);
+      e->tick();
+    }
+    ASSERT_EQ(serial.peek("q"), par.peek("q")) << "cycle " << c;
+  }
+  EXPECT_GT(collisions, 0u) << "stimulus never wrote one row from both ports";
+  expectStatsEqual(serial.stats(), par.stats(), "twoWriterMem");
 }
 
 TEST(PlacedEngine, SerialCutoffPathSwitchIsInvisible) {

@@ -290,8 +290,8 @@ Args parseArgs(int argc, char** argv) {
   if (a.batch == 0) {
     if (a.threads > 1 && a.mode == Args::Mode::Run && !ccssKind && !laneKind)
       usage("--threads > 1 requires the ccss engine");
-    // `--engine ccss --threads N>1` has always meant the wave-parallel
-    // engine; keep that spelling equivalent to the explicit `--engine par`.
+    // `--engine ccss --threads N>1` means the placed parallel engine, the
+    // same as the explicit `--engine par`.
     if (a.engineKind == sim::EngineKind::Ccss && a.threads > 1)
       a.engineKind = sim::EngineKind::CcssPar;
   }
