@@ -19,11 +19,12 @@ using namespace essent;
 
 namespace {
 
+// Times the serial CCSS engine over `sched`, as the paper evaluates it.
 double runCcss(const sim::SimIR& ir, const core::CondPartSchedule& sched,
-               const workloads::Program& prog, unsigned threads, double* effAct = nullptr) {
-  auto eng = bench::makeCcssEngine(ir, sched, threads);
-  auto r = bench::timeEngine(*eng, prog);
-  if (effAct) *effAct = eng->effectiveActivity();
+               const workloads::Program& prog, double* effAct = nullptr) {
+  core::ActivityEngine eng(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), sched));
+  auto r = bench::timeEngine(eng, prog);
+  if (effAct) *effAct = eng.effectiveActivity();
   return r.seconds;
 }
 
@@ -32,9 +33,12 @@ double runCcss(const sim::SimIR& ir, const core::CondPartSchedule& sched,
 int main(int argc, char** argv) {
   bench::JsonReporter report("ablation_opts", argc, argv);
   auto d = bench::buildDesign(designs::socR16());
+  sim::BuildOptions rawOpts;  // classic compiler optimizations off
+  rawOpts.constProp = rawOpts.cse = rawOpts.dce = false;
+  sim::SimIR raw = sim::buildFromFirrtl(designs::tinySoCFirrtl(designs::socR16()), rawOpts);
   auto prog = workloads::dhrystoneProgram(128);
   core::Netlist nlOpt = core::Netlist::build(d.optimized);
-  core::Netlist nlRaw = core::Netlist::build(d.baseline);
+  core::Netlist nlRaw = core::Netlist::build(raw);
 
   std::printf("Ablations (r16, dhrystone)\n\n");
 
@@ -44,8 +48,8 @@ int main(int argc, char** argv) {
     core::ScheduleOptions offOpts;
     offOpts.stateElision = false;
     auto off = core::buildSchedule(nlOpt, offOpts);
-    double tOn = runCcss(d.optimized, on, prog, report.env().threads);
-    double tOff = runCcss(d.optimized, off, prog, report.env().threads);
+    double tOn = runCcss(d.optimized, on, prog);
+    double tOff = runCcss(d.optimized, off, prog);
     std::printf("A. state-element update elision (elided regs %zu -> %zu):\n",
                 on.elidedRegs, off.elidedRegs);
     std::printf("   with elision %.3fs, without %.3fs  (%.2fx from elision)\n\n", tOn, tOff,
@@ -61,11 +65,11 @@ int main(int argc, char** argv) {
   {
     auto schedOpt = core::buildSchedule(nlOpt, core::ScheduleOptions{});
     auto schedRaw = core::buildSchedule(nlRaw, core::ScheduleOptions{});
-    double tOpt = runCcss(d.optimized, schedOpt, prog, report.env().threads);
-    double tRaw = runCcss(d.baseline, schedRaw, prog, report.env().threads);
+    double tOpt = runCcss(d.optimized, schedOpt, prog);
+    double tRaw = runCcss(raw, schedRaw, prog);
     std::printf("B. classic compiler optimizations (constprop/CSE/DCE) under CCSS:\n");
     std::printf("   optimized IR %.3fs (%zu ops), raw IR %.3fs (%zu ops)  (%.2fx)\n\n", tOpt,
-                d.optimized.ops.size(), tRaw, d.baseline.ops.size(), tRaw / tOpt);
+                d.optimized.ops.size(), tRaw, raw.ops.size(), tRaw / tOpt);
     obs::Json row = obs::Json::object();
     row["ablation"] = "compiler_opts";
     row["seconds_on"] = tOpt;
@@ -96,7 +100,7 @@ int main(int argc, char** argv) {
       auto parts = core::partitionNetlist(nlOpt, po);
       auto sched = core::buildScheduleFrom(nlOpt, parts, true);
       double effAct = 0;
-      double t = runCcss(d.optimized, sched, prog, report.env().threads, &effAct);
+      double t = runCcss(d.optimized, sched, prog, &effAct);
       std::printf("   %-26s %10zu %10lld %10.3f %9.4f\n", pc.name, parts.numPartitions(),
                   static_cast<long long>(parts.stats.cutEdges), t, effAct);
       std::fflush(stdout);
@@ -129,10 +133,11 @@ int main(int argc, char** argv) {
       };
       sim::FullCycleEngine fc(sim::CompiledDesign::compile(banks));
       sim::EventDrivenEngine ev(sim::CompiledDesign::compile(banks));
-      auto act = bench::makeCcssEngine(banks, schedB, report.env().threads);
+      core::ActivityEngine act(
+          core::CompiledCcss::compile(sim::CompiledDesign::compile(banks), schedB));
       double tFc = sim::runEngine(fc, 20000, stim).seconds;
       double tEv = sim::runEngine(ev, 20000, stim).seconds;
-      double tAc = sim::runEngine(*act, 20000, stim).seconds;
+      double tAc = sim::runEngine(act, 20000, stim).seconds;
       std::printf("   %-8.3f %12.3f %12.3f %12.3f\n", p, tFc, tEv, tAc);
       std::fflush(stdout);
     }

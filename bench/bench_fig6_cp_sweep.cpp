@@ -48,21 +48,22 @@ int main(int argc, char** argv) {
   for (const auto& cfg : bench::evalDesigns()) {
     auto d = bench::buildDesign(cfg);
     core::Netlist nl = core::Netlist::build(d.optimized);
+    auto design = sim::CompiledDesign::compile(d.optimized);
     // Partition once per C_p, reuse across workloads.
-    std::vector<core::CondPartSchedule> schedules;
+    std::vector<std::shared_ptr<const core::CompiledCcss>> ccss;
     for (uint32_t cp : cps) {
       core::PartitionOptions po;
       po.smallThreshold = cp;
-      schedules.push_back(
-          core::buildScheduleFrom(nl, core::partitionNetlist(nl, po), true));
+      ccss.push_back(core::CompiledCcss::compile(
+          design, core::buildScheduleFrom(nl, core::partitionNetlist(nl, po), true)));
     }
     for (const auto& prog : bench::evalWorkloads()) {
       std::printf("%-6s %-10s", d.name.c_str(), prog.name.c_str());
       double best = 1e30;
       uint32_t bestCp = 0;
-      for (size_t i = 0; i < schedules.size(); i++) {
-        auto eng = bench::makeCcssEngine(d.optimized, schedules[i], report.env().threads);
-        auto r = bench::timeEngine(*eng, prog);
+      for (size_t i = 0; i < ccss.size(); i++) {
+        core::ActivityEngine eng(ccss[i]);
+        auto r = bench::timeEngine(eng, prog);
         std::printf(" %8.3f", r.seconds);
         if (r.seconds < best) {
           best = r.seconds;
@@ -72,11 +73,11 @@ int main(int argc, char** argv) {
         const auto& st = r.stats;
         const double cyc = static_cast<double>(st.cycles);
         const Fig7Row work{cps[i],
-                           schedules[i].numPartitions(),
+                           ccss[i]->body->sched.numPartitions(),
                            static_cast<double>(st.opsEvaluated) / cyc,
                            static_cast<double>(st.partitionChecks) / cyc,
                            static_cast<double>(st.outputComparisons + st.triggerSets) / cyc,
-                           eng->effectiveActivity(),
+                           eng.effectiveActivity(),
                            r.seconds};
         if (d.name == fig7Design && prog.name == "dhrystone") fig7.push_back(work);
         obs::Json row =

@@ -6,9 +6,10 @@
 //    iteration counts scaled down so every bench binary completes in
 //    seconds rather than the paper's minutes-to-hours (the relative cycle
 //    ratios are preserved);
-//  * simulators — CommVer* (levelized event-driven stand-in), Verilator*
-//    (optimized full-cycle stand-in), Baseline (ESSENT flow with all
-//    optimizations disabled), ESSENT (CCSS engine, all optimizations).
+//  * simulators — event-driven (CommVer* stand-in), full-cycle (Verilator*
+//    stand-in) and the serial CCSS engine (ESSENT), single-threaded as in
+//    the paper. End-to-end speedups are essent_bench's to measure
+//    (`core.speedup_vs_full`, essent_bench/README.md).
 #pragma once
 
 #include <algorithm>
@@ -24,7 +25,6 @@
 
 #include "core/activity_engine.h"
 #include "core/obs_export.h"
-#include "core/parallel_engine.h"
 #include "designs/tinysoc.h"
 #include "obs/json.h"
 #include "obs/phase_timer.h"
@@ -36,10 +36,12 @@
 
 namespace essent::bench {
 
-// Measurement knobs honored uniformly by every bench binary, so scaling
-// runs are reproducible from the environment alone:
+// Measurement knobs read by every bench binary, so runs are reproducible
+// from the environment alone:
 //   ESSENT_BENCH_REPS  (or --reps N)    interleaved A/B repetitions
-//   ESSENT_THREADS     (or --threads N) worker threads for CCSS engines
+//   ESSENT_THREADS     (or --threads N) farm workers; only
+//                                       bench_farm_throughput uses it, the
+//                                       paper exhibits run the serial engine
 // Both are recorded in the JSON artifact header (JsonReporter meta).
 struct BenchEnv {
   unsigned reps = 3;
@@ -72,30 +74,6 @@ struct BenchEnv {
   }
 };
 
-// CCSS engine honoring the thread knob: the serial ActivityEngine at 1
-// thread (the untouched hot path), the statically-placed BSP engine above —
-// through the degradation-aware core factory, so a request beyond the host's
-// concurrency or the placement's useful width is clamped rather than timed
-// as if it had real lanes. Degradations land in `warnings` (when non-null);
-// benches record the post-degradation engine->threadCount() per row so
-// artifacts from narrow hosts are honest about what actually ran. Both
-// paths go through the shared compiled structure (CompiledCcss), matching
-// how sim::makeEngine and core::SimFarm construct engines.
-inline std::unique_ptr<core::ActivityEngine> makeCcssEngine(
-    const sim::SimIR& ir, const core::ScheduleOptions& opts, unsigned threads,
-    std::vector<std::string>* warnings = nullptr) {
-  return core::makeCcssEngine(
-      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), opts), threads, warnings);
-}
-
-inline std::unique_ptr<core::ActivityEngine> makeCcssEngine(
-    const sim::SimIR& ir, core::CondPartSchedule schedule, unsigned threads,
-    std::vector<std::string>* warnings = nullptr) {
-  return core::makeCcssEngine(
-      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), std::move(schedule)),
-      threads, warnings);
-}
-
 // Interleaved A/B(/C/...) repetition timing: candidates run round-robin
 // (A B C A B C ...) so clock drift and thermal state hit every candidate
 // equally; reports each candidate's best (minimum) seconds.
@@ -122,19 +100,11 @@ inline std::vector<workloads::Program> evalWorkloads() {
 // Cached IR builds (the boom design takes ~0.4 s to lower).
 struct BuiltDesign {
   std::string name;
-  sim::SimIR optimized;  // full compiler optimizations (Verilator*/ESSENT)
-  sim::SimIR baseline;   // all optimizations disabled (Baseline)
+  sim::SimIR optimized;  // full compiler optimizations
 };
 
 inline BuiltDesign buildDesign(const designs::SoCConfig& cfg) {
-  BuiltDesign d;
-  d.name = cfg.name;
-  std::string text = designs::tinySoCFirrtl(cfg);
-  d.optimized = sim::buildFromFirrtl(text);
-  sim::BuildOptions raw;
-  raw.constProp = raw.cse = raw.dce = false;
-  d.baseline = sim::buildFromFirrtl(text, raw);
-  return d;
+  return BuiltDesign{cfg.name, sim::buildFromFirrtl(designs::tinySoCFirrtl(cfg))};
 }
 
 struct EngineRun {

@@ -198,11 +198,10 @@ ElisionResult analyzeElision(const Netlist& nl, const Partitioning& parts, bool 
   for (size_t r = 0; r < ir.regs.size(); r++)
     res.regElided[r] = tryElide(nl.nodeOfRegWrite[r], nl.regReaders[r]);
 
-  for (size_t m = 0; m < ir.mems.size(); m++) {
-    for (size_t w = 0; w < ir.mems[m].writers.size(); w++) {
-      res.memWriteElided[m][w] = tryElide(nl.nodeOfMemWrite[m][w], nl.memReaders[m]);
-    }
-  }
+  // Multi-port memories stay deferred (see elision.h).
+  for (size_t m = 0; m < ir.mems.size(); m++)
+    if (ir.mems[m].writers.size() == 1)
+      res.memWriteElided[m][0] = tryElide(nl.nodeOfMemWrite[m][0], nl.memReaders[m]);
 
   auto order = g.topoSort();
   if (!order)

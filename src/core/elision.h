@@ -14,6 +14,10 @@
 // Elisions are processed greedily against the graph *including previously
 // added ordering edges*, because two individually-safe elisions can be
 // jointly cyclic.
+//
+// Only a memory's sole write port is elided. A memory with several write
+// ports commits all of them in the global second phase, in port order, so
+// a same-cycle write of one row resolves as in the full-cycle reference.
 #pragma once
 
 #include <vector>

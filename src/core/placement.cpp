@@ -11,10 +11,6 @@ namespace essent::core {
 std::vector<std::pair<int32_t, int32_t>> placementEdges(const CondPartSchedule& sched) {
   std::vector<std::pair<int32_t, int32_t>> edges;
   const int32_t n = static_cast<int32_t>(sched.parts.size());
-  // Previous elided-writer position per memory: consecutive elided writers
-  // of one memory may touch the same row, so serial commit order must
-  // survive concurrent execution.
-  std::vector<std::pair<int32_t, int32_t>> lastMemWriter;  // (memIdx, pos)
   for (int32_t pos = 0; pos < n; pos++) {
     const CondPart& part = sched.parts[static_cast<size_t>(pos)];
     // Combinational producer -> consumer.
@@ -26,18 +22,9 @@ std::vector<std::pair<int32_t, int32_t>> placementEdges(const CondPartSchedule& 
     for (const SchedRegWrite& rw : part.regWrites)
       for (int32_t r : rw.wakeParts)
         if (r != pos) edges.emplace_back(r, pos);
-    for (const SchedMemWrite& mw : part.memWrites) {
+    for (const SchedMemWrite& mw : part.memWrites)
       for (int32_t r : mw.wakeParts)
         if (r != pos) edges.emplace_back(r, pos);
-      auto it = std::find_if(lastMemWriter.begin(), lastMemWriter.end(),
-                             [&](const auto& p) { return p.first == mw.memIdx; });
-      if (it == lastMemWriter.end()) {
-        lastMemWriter.emplace_back(mw.memIdx, pos);
-      } else {
-        if (it->second != pos) edges.emplace_back(it->second, pos);
-        it->second = pos;
-      }
-    }
   }
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());

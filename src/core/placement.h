@@ -68,14 +68,13 @@ struct BspPlacement {
 BspPlacement buildPlacement(const CondPartSchedule& sched, const PlacementOptions& opts);
 
 // The dependency edges the placement must respect, as (from, to) schedule
-// positions, sorted and deduplicated. Three families:
+// positions, sorted and deduplicated. Two families:
 //   * combinational: a partition output -> each partition consuming it;
 //   * elision ordering: each cross-partition reader of an elided register
 //     or memory -> the partition writing it in place (the reader must see
-//     the old value);
-//   * same-memory chain: consecutive (in schedule order) partitions holding
-//     elided writes to one memory, which may hit the same row, so their
-//     commits keep serial order.
+//     the old value).
+// A memory with several write ports is never elided, so no two partitions
+// commit to one memory.
 // Every edge runs forward in the schedule (u < v). Exposed so tests and
 // tools can verify the super-step contract against the real edge set.
 std::vector<std::pair<int32_t, int32_t>> placementEdges(const CondPartSchedule& sched);

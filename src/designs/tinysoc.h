@@ -62,7 +62,8 @@ SoCConfig socTiny();
 // Parameterized scale-out configuration: factor 1 lands near the boom
 // preset (~130k netlist nodes) and factor 8 crosses one million nodes —
 // more cores, a wider NoC, bigger memories, and a proportionally larger
-// idle accelerator mass. Used by the elaboration-scale bench and tests.
+// idle accelerator mass. Used by essent_bench's soc4-elab workload and the
+// scale tests.
 SoCConfig socScaled(uint32_t factor);
 
 }  // namespace essent::designs

@@ -362,12 +362,13 @@ TEST(Campaign, ReplaySingleCaseMatchesCampaignVerdict) {
 }
 
 TEST(Corpus, CornerCircuitsAgreeAcrossAllEngines) {
-  for (const char* name : {"corner_zero_width", "corner_mux_deep", "corner_mem_rw"}) {
+  for (const char* name : {"corner_zero_width", "corner_mux_deep", "corner_mem_rw",
+                           "corner_mem_two_writers"}) {
     SCOPED_TRACE(name);
     std::string fir = readFile(std::string(FUZZ_CORPUS_DIR) + "/" + name + ".fir");
     Stimulus stim =
         Stimulus::parse(readFile(std::string(FUZZ_CORPUS_DIR) + "/" + name + ".stim"));
-    FuzzConfig cfg;  // all five engines
+    FuzzConfig cfg;  // all six engines
     CaseResult cr = replayCase(fir, stim, cfg, nullptr);
     EXPECT_FALSE(cr.failed())
         << (cr.divergence ? cr.divergence->describe() : cr.buildError);

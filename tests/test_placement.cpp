@@ -23,6 +23,7 @@
 #include "designs/systolic.h"
 #include "designs/tinysoc.h"
 #include "sim/compile.h"
+#include "sim/full_cycle.h"
 #include "sim/harness.h"
 #include "support/rng.h"
 
@@ -50,48 +51,6 @@ std::string readCorpus(const std::string& name) {
   return ss.str();
 }
 
-// One memory, one read port, two write ports fed by independent logic: both
-// writes are elided into two different partitions, so placementEdges() must
-// chain them (no other design here elides two writers of one memory).
-std::string twoWriterMemFirrtl() {
-  return R"(circuit TwoWriterMem :
-  module TwoWriterMem :
-    input clock : Clock
-    input reset : UInt<1>
-    input a0 : UInt<2>
-    input d0 : UInt<8>
-    input e0 : UInt<1>
-    input a1 : UInt<2>
-    input d1 : UInt<8>
-    input e1 : UInt<1>
-    input ra : UInt<2>
-    output q : UInt<8>
-    mem m :
-      data-type => UInt<8>
-      depth => 4
-      read-latency => 0
-      write-latency => 1
-      read-under-write => undefined
-      reader => r
-      writer => w0
-      writer => w1
-    m.r.addr <= ra
-    m.r.en <= UInt<1>(1)
-    m.r.clk <= clock
-    m.w0.addr <= a0
-    m.w0.en <= e0
-    m.w0.clk <= clock
-    m.w0.data <= add(d0, UInt<8>(1))
-    m.w0.mask <= UInt<1>(1)
-    m.w1.addr <= a1
-    m.w1.en <= e1
-    m.w1.clk <= clock
-    m.w1.data <= xor(d1, UInt<8>(85))
-    m.w1.mask <= UInt<1>(1)
-    q <= m.r.data
-)";
-}
-
 // Every design shape we have, including the committed fuzz-corpus corner
 // circuits — the placement contract must hold on all of them.
 std::vector<std::pair<std::string, std::string>> allDesignTexts() {
@@ -104,7 +63,7 @@ std::vector<std::pair<std::string, std::string>> allDesignTexts() {
       {"corner_mem_rw", readCorpus("corner_mem_rw.fir")},
       {"corner_mux_deep", readCorpus("corner_mux_deep.fir")},
       {"corner_zero_width", readCorpus("corner_zero_width.fir")},
-      {"twoWriterMem", twoWriterMemFirrtl()},
+      {"corner_mem_two_writers", readCorpus("corner_mem_two_writers.fir")},
   };
   for (uint64_t seed : {41ull, 42ull, 43ull})
     texts.emplace_back("random" + std::to_string(seed), designs::randomDesignFirrtl(seed));
@@ -141,9 +100,10 @@ size_t dependencyDepth(const CondPartSchedule& sched) {
 }
 
 // The ordering rules placementEdges() states, checked against the schedule
-// they come from: each of the three edge families is present, nothing else
-// is, and every edge is a sorted, unique, forward edge of the schedule.
-void checkEdgeRules(const CondPartSchedule& sched, const std::string& what) {
+// they come from: each of the two edge families is present, nothing else
+// is, and every edge is a sorted, unique, forward edge of the schedule. No
+// memory with two or more write ports has an elided write.
+void checkEdgeRules(const SimIR& ir, const CondPartSchedule& sched, const std::string& what) {
   const int32_t n = static_cast<int32_t>(sched.parts.size());
   auto edges = core::placementEdges(sched);
   std::set<std::pair<int32_t, int32_t>> have(edges.begin(), edges.end());
@@ -161,7 +121,6 @@ void checkEdgeRules(const CondPartSchedule& sched, const std::string& what) {
     EXPECT_TRUE(have.count({u, v})) << what << ": missing " << family << " edge " << u
                                     << "->" << v;
   };
-  std::vector<std::vector<int32_t>> memWriters;  // memIdx -> positions, schedule order
   for (int32_t pos = 0; pos < n; pos++) {
     const core::CondPart& part = sched.parts[static_cast<size_t>(pos)];
     // (1) Every output consumer runs after its producer.
@@ -180,17 +139,11 @@ void checkEdgeRules(const CondPartSchedule& sched, const std::string& what) {
       readersBeforeWriter(rw.wakeParts, "reg reader->writer");
     for (const core::SchedMemWrite& mw : part.memWrites) {
       readersBeforeWriter(mw.wakeParts, "mem reader->writer");
-      size_t mem = static_cast<size_t>(mw.memIdx);
-      if (memWriters.size() <= mem) memWriters.resize(mem + 1);
-      memWriters[mem].push_back(pos);
+      EXPECT_EQ(ir.mems[static_cast<size_t>(mw.memIdx)].writers.size(), 1u)
+          << what << ": elided write to a memory with several write ports";
     }
   }
-  // (3) Consecutive partitions holding elided writes to one memory are
-  //     chained: they may hit the same row, so commits keep serial order.
-  for (const auto& writers : memWriters)
-    for (size_t i = 1; i < writers.size(); i++)
-      if (writers[i - 1] != writers[i]) expectEdge(writers[i - 1], writers[i], "same-mem chain");
-  EXPECT_EQ(expected.size(), have.size()) << what << ": edge outside the three families";
+  EXPECT_EQ(expected.size(), have.size()) << what << ": edge outside the two families";
 }
 
 // The full execution contract from placement.h, checked against the real
@@ -307,12 +260,12 @@ TEST(Levelization, InvariantsHoldAcrossDesignsAndGranularities) {
     for (uint32_t cp : {0u, 4u, 64u}) {
       ScheduleOptions opts;
       opts.partition.smallThreshold = cp;
-      checkEdgeRules(core::buildSchedule(nl, opts), name + "/cp" + std::to_string(cp));
+      checkEdgeRules(ir, core::buildSchedule(nl, opts), name + "/cp" + std::to_string(cp));
     }
     // Elision off: only the producer->consumer family remains.
     ScheduleOptions noElide;
     noElide.stateElision = false;
-    checkEdgeRules(core::buildSchedule(nl, noElide), name + "/noelide");
+    checkEdgeRules(ir, core::buildSchedule(nl, noElide), name + "/noelide");
   }
 }
 
@@ -473,33 +426,23 @@ TEST(PlacedEngine, ForcedPooledPathMatchesSerialBitsAndStats) {
 }
 
 TEST(PlacedEngine, SameMemoryElidedWritersKeepSerialCommitOrder) {
-  // Both write ports of the memory are elided into different partitions.
-  // When they write one row in the same cycle, the later one in schedule
-  // order must win, as in the serial engine; only the same-memory chain
-  // edge keeps the two partitions out of one super-step on two threads.
-  SimIR ir = sim::buildFromFirrtl(twoWriterMemFirrtl());
+  // The corpus memory has two write ports fed by independent logic. Neither
+  // is elided: both commit in the global phase in port order. When they
+  // write one row in the same cycle, port 1 wins in serial CCSS, in the
+  // placed engine and in the full-cycle reference alike.
+  SimIR ir = sim::buildFromFirrtl(readCorpus("corner_mem_two_writers.fir"));
   CondPartSchedule sched = core::buildSchedule(core::Netlist::build(ir));
-  std::vector<int32_t> writers;
-  for (size_t pos = 0; pos < sched.parts.size(); pos++)
-    for (const core::SchedMemWrite& mw : sched.parts[pos].memWrites) {
-      EXPECT_EQ(mw.memIdx, 0);
-      writers.push_back(static_cast<int32_t>(pos));
-    }
-  ASSERT_EQ(writers.size(), 2u);
-  ASSERT_LT(writers[0], writers[1]) << "both writes elided into one partition";
-  auto edges = core::placementEdges(sched);
-  EXPECT_TRUE(std::binary_search(edges.begin(), edges.end(),
-                                 std::make_pair(writers[0], writers[1])))
-      << "same-memory chain edge missing";
+  for (const core::CondPart& part : sched.parts)
+    EXPECT_TRUE(part.memWrites.empty()) << "write of a two-port memory elided";
+  ASSERT_EQ(sched.deferredMemWrites.size(), 2u);
+  EXPECT_EQ(sched.deferredMemWrites[0].writerIdx, 0);
+  EXPECT_EQ(sched.deferredMemWrites[1].writerIdx, 1);
 
   ActivityEngine serial(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), sched));
   ParallelActivityEngine par(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), sched), 4);
   par.setSerialCutoff(0);
-  const BspPlacement& p = par.placement();
-  checkPlacementContract(sched, p, 4, "twoWriterMem");
-  // The writers sit on different threads, so the chain edge is a barrier.
-  EXPECT_NE(p.threadOf[static_cast<size_t>(writers[0])],
-            p.threadOf[static_cast<size_t>(writers[1])]);
+  checkPlacementContract(sched, par.placement(), 4, "corner_mem_two_writers");
+  sim::FullCycleEngine full(sim::CompiledDesign::compile(ir));
 
   Rng draw(99);
   size_t collisions = 0;
@@ -509,7 +452,8 @@ TEST(PlacedEngine, SameMemoryElidedWritersKeepSerialCommitOrder) {
     const uint64_t d0 = draw.nextBelow(256), d1 = draw.nextBelow(256);
     const uint64_t ra = draw.nextBelow(4);
     if (e0 && e1 && a0 == a1) collisions++;
-    for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+    for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par),
+                      static_cast<Engine*>(&full)}) {
       e->poke("reset", 0);
       e->poke("a0", a0);
       e->poke("a1", a1);
@@ -520,10 +464,11 @@ TEST(PlacedEngine, SameMemoryElidedWritersKeepSerialCommitOrder) {
       e->poke("ra", ra);
       e->tick();
     }
-    ASSERT_EQ(serial.peek("q"), par.peek("q")) << "cycle " << c;
+    ASSERT_EQ(full.peek("q"), serial.peek("q")) << "cycle " << c;
+    ASSERT_EQ(full.peek("q"), par.peek("q")) << "cycle " << c;
   }
   EXPECT_GT(collisions, 0u) << "stimulus never wrote one row from both ports";
-  expectStatsEqual(serial.stats(), par.stats(), "twoWriterMem");
+  expectStatsEqual(serial.stats(), par.stats(), "corner_mem_two_writers");
 }
 
 TEST(PlacedEngine, SerialCutoffPathSwitchIsInvisible) {

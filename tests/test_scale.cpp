@@ -158,8 +158,8 @@ TEST(ScaleTest, FullMillionNodeElaboration) {
   core::CondPartSchedule sched = core::buildSchedule(net);
   EXPECT_FALSE(sched.parts.empty());
 
-  // Peak-RSS ceiling: the committed bench artifact records ~1.26 GB for the
-  // same elaboration; 4 GB of headroom guards against an accidental return
+  // Peak-RSS ceiling: this elaboration last measured ~1.25 GB
+  // (docs/SCALING.md); 4 GB of headroom guards against an accidental return
   // to per-node heap structures without flaking on allocator variance.
   EXPECT_LT(support::peakRssBytes(), uint64_t{4} << 30);
 }
