@@ -18,12 +18,38 @@ using sim::SimIR;
 
 namespace {
 
-std::vector<std::string> buildNames(const SimIR& ir) {
+// Identifiers a signal's member name must not take. Every identifier the
+// emitter makes up for itself ends in '_' (act_, part_0_, prev_a_, finish_,
+// sx_, ...), and buildNames never emits a trailing '_', so those are out of
+// reach by construction. Reserved here are the rest: the public names a
+// harness spells (eval, the class, each memory's mem_<name>), C++ keywords,
+// and uint64_t, which a member of that name would hide inside the struct.
+std::unordered_set<std::string> reservedNames(const SimIR& ir, const std::string& className) {
+  std::unordered_set<std::string> used = {
+      "eval", className, "uint64_t",
+      "alignas", "alignof", "and", "and_eq", "asm", "auto", "bitand", "bitor", "bool", "break",
+      "case", "catch", "char", "char8_t", "char16_t", "char32_t", "class", "co_await",
+      "co_return", "co_yield", "compl", "concept", "const", "consteval", "constexpr",
+      "constinit", "const_cast", "continue", "decltype", "default", "delete", "do", "double",
+      "dynamic_cast", "else", "enum", "explicit", "export", "extern", "false", "float", "for",
+      "friend", "goto", "if", "inline", "int", "long", "mutable", "namespace", "new",
+      "noexcept", "not", "not_eq", "nullptr", "operator", "or", "or_eq", "private",
+      "protected", "public", "register", "reinterpret_cast", "requires", "return", "short",
+      "signed", "sizeof", "static", "static_assert", "static_cast", "struct", "switch",
+      "template", "this", "thread_local", "throw", "true", "try", "typedef", "typeid",
+      "typename", "union", "unsigned", "using", "virtual", "void", "volatile", "wchar_t",
+      "while", "xor", "xor_eq"};
+  for (const auto& m : ir.mems) used.insert("mem_" + sanitizeIdent(m.name));
+  return used;
+}
+
+std::vector<std::string> buildNames(const SimIR& ir, const std::string& className) {
   std::vector<std::string> names(ir.signals.size());
-  std::unordered_set<std::string> used = {"eval", "cycles_", "stopped_", "exit_code_"};
+  std::unordered_set<std::string> used = reservedNames(ir, className);
   for (size_t s = 0; s < ir.signals.size(); s++) {
     const auto& sig = ir.signals[s];
     std::string base = sig.name.empty() ? strfmt("t%zu", s) : sanitizeIdent(sig.name);
+    if (base.back() == '_') base += 'x';
     std::string name = base;
     int suffix = 1;
     while (!used.insert(name).second) name = base + "_" + std::to_string(suffix++);
@@ -32,15 +58,17 @@ std::vector<std::string> buildNames(const SimIR& ir) {
   return names;
 }
 
-std::string maskExpr(const std::string& e, uint32_t width) {
-  if (width >= 64) return e;
+// `e` occupies at most `bits` bits (its operands fit their widths); the
+// mask is dropped when that already fits `width`.
+std::string maskExpr(const std::string& e, uint32_t bits, uint32_t width) {
+  if (width >= 64 || bits <= width) return e;
   return strfmt("(%s) & 0x%llxull", e.c_str(), static_cast<unsigned long long>((1ull << width) - 1));
 }
 
 class Emitter {
  public:
   Emitter(const SimIR& ir, const CondPartSchedule* sched, const CodegenOptions& opts)
-      : ir_(ir), sched_(sched), opts_(opts), names_(buildNames(ir)) {
+      : ir_(ir), sched_(sched), opts_(opts), names_(buildNames(ir, opts.className)) {
     for (const auto& sig : ir.signals) {
       if (sig.kind != SigKind::Dead && sig.width > 64)
         throw CodegenError("signal '" + sig.name + "' is wider than 64 bits; the C++ backend "
@@ -56,7 +84,7 @@ class Emitter {
     emitMembers();
     if (opts_.ccss) emitPartitionFunctions();
     emitEval();
-    out_ += "};\n\n}  // namespace essent_gen\n";
+    closeStruct();
     return out_;
   }
 
@@ -70,9 +98,9 @@ class Emitter {
     std::vector<std::string> decls, defs;
     if (opts_.ccss) {
       for (size_t pos = 0; pos < sched_->parts.size(); pos++) {
-        decls.push_back(strfmt("  void part_%zu();\n", pos));
+        decls.push_back(strfmt("  void part_%zu_();\n", pos));
         out_.clear();
-        emitPartitionFunction(pos, strfmt("void %s::part_%zu()", cn.c_str(), pos), "  ",
+        emitPartitionFunction(pos, strfmt("void %s::part_%zu_()", cn.c_str(), pos), "  ",
                               "}\n\n");
         defs.push_back(std::move(out_));
       }
@@ -90,9 +118,9 @@ class Emitter {
                    ir_.superOf(static_cast<size_t>(all[to - 1])))
           to++;
         const size_t k = decls.size();
-        decls.push_back(strfmt("  void chunk_%zu();\n", k));
+        decls.push_back(strfmt("  void chunk_%zu_();\n", k));
         out_.clear();
-        out_ += strfmt("void %s::chunk_%zu() {\n", cn.c_str(), k);
+        out_ += strfmt("void %s::chunk_%zu_() {\n", cn.c_str(), k);
         emitOpSeq(std::vector<int32_t>(all.begin() + static_cast<ptrdiff_t>(from),
                                        all.begin() + static_cast<ptrdiff_t>(to)),
                   "  ");
@@ -146,9 +174,9 @@ class Emitter {
       emitInputSweep("  ");
       out_ += "  first_cycle_ = false;\n";
       out_ += "  // 2. singular static partition sweep, one chunk per unit\n";
-      for (uint32_t k = 0; k < S; k++) out_ += strfmt("  sweepChunk_%u();\n", k);
+      for (uint32_t k = 0; k < S; k++) out_ += strfmt("  sweepChunk_%u_();\n", k);
     } else {
-      for (size_t j = 0; j < defs.size(); j++) out_ += strfmt("  chunk_%zu();\n", j);
+      for (size_t j = 0; j < defs.size(); j++) out_ += strfmt("  chunk_%zu_();\n", j);
     }
     out_ += "  // side effects + phase-2 state updates\n  finish_();\n}\n";
     const std::string evalDef = std::move(out_);
@@ -161,9 +189,9 @@ class Emitter {
                    S);
     for (const auto& d : decls) out_ += d;
     if (opts_.ccss)
-      for (uint32_t k = 0; k < S; k++) out_ += strfmt("  void sweepChunk_%u();\n", k);
+      for (uint32_t k = 0; k < S; k++) out_ += strfmt("  void sweepChunk_%u_();\n", k);
     out_ += "  void finish_();\n  void eval();\n";
-    out_ += "};\n\n}  // namespace essent_gen\n";
+    closeStruct();
     sh.header = "#pragma once\n" + out_;
 
     for (uint32_t k = 0; k < S; k++) {
@@ -174,9 +202,9 @@ class Emitter {
           k, S, base.c_str());
       for (size_t i = range[k].first; i < range[k].second; i++) u += defs[i];
       if (opts_.ccss) {
-        u += strfmt("void %s::sweepChunk_%u() {\n", cn.c_str(), k);
+        u += strfmt("void %s::sweepChunk_%u_() {\n", cn.c_str(), k);
         for (size_t i = range[k].first; i < range[k].second; i++)
-          u += strfmt("  if (act_[%zu]) part_%zu();\n", i, i);
+          u += strfmt("  if (act_[%zu]) part_%zu_();\n", i, i);
         u += "}\n\n";
       }
       if (k + 1 == S) u += finishDef + "\n";
@@ -248,7 +276,7 @@ class Emitter {
   void emitPreamble() {
     out_ +=
         "// Generated by essent-cpp (ESSENT reproduction). Do not edit.\n"
-        "#include <cstdint>\n#include <cstdio>\n\n"
+        "#include <cstdint>\n#include <cstdio>\n#include <cstring>\n#include <type_traits>\n\n"
         "namespace essent_gen {\n\n"
         "static inline int64_t sx_(uint64_t v, int w) {\n"
         "  if (w == 0) return 0;\n"
@@ -262,34 +290,47 @@ class Emitter {
     out_ += "struct " + opts_.className + " {\n";
   }
 
+  // The constructor's memset is only valid on plain data.
+  void closeStruct() {
+    const char* cn = opts_.className.c_str();
+    out_ += strfmt("};\nstatic_assert(std::is_trivially_copyable<%s>::value &&\n"
+                   "              std::is_standard_layout<%s>::value);\n\n"
+                   "}  // namespace essent_gen\n",
+                   cn, cn);
+  }
+
+  // Members carry no initializers: a default member initializer per signal
+  // (thousands on a SoC) is inlined into every unit that constructs the
+  // struct and dominates its host compile. The constructor instead zero-fills
+  // the plain-data object and stores only what is not zero.
   void emitMembers() {
-    // Constants are folded into member initializers and never re-evaluated.
-    std::vector<int32_t> constPoolOf(ir_.signals.size(), -1);
-    for (const auto& op : ir_.ops)
-      if (op.code == OpCode::Const) constPoolOf[static_cast<size_t>(op.dest)] =
-          static_cast<int32_t>(op.imm0);
     out_ += "  // --- design state (one member per signal) ---\n";
     for (size_t s = 0; s < ir_.signals.size(); s++) {
       if (ir_.signals[s].kind == SigKind::Dead) continue;
-      std::string init = "0";
-      if (constPoolOf[s] >= 0)
-        init = "0x" + ir_.constPool[static_cast<size_t>(constPoolOf[s])].toHexString() + "ull";
-      out_ += strfmt("  uint64_t %s = %s;  // width %u%s\n", names_[s].c_str(), init.c_str(),
-                     ir_.signals[s].width, ir_.signals[s].isSigned ? " (signed)" : "");
+      out_ += strfmt("  uint64_t %s;  // width %u%s\n", names_[s].c_str(), ir_.signals[s].width,
+                     ir_.signals[s].isSigned ? " (signed)" : "");
     }
     for (const auto& m : ir_.mems) {
-      out_ += strfmt("  uint64_t mem_%s[%llu] = {};\n", sanitizeIdent(m.name).c_str(),
+      out_ += strfmt("  uint64_t mem_%s[%llu];\n", sanitizeIdent(m.name).c_str(),
                      static_cast<unsigned long long>(m.depth));
     }
-    out_ += "  uint64_t cycles_ = 0;\n  bool stopped_ = false;\n  int exit_code_ = 0;\n";
+    out_ += "  uint64_t cycles_;\n  bool stopped_;\n  int exit_code_;\n";
     if (opts_.ccss) {
       out_ += strfmt("  bool act_[%zu];\n", sched_->parts.size());
-      for (int32_t in : ir_.inputs)
-        out_ += strfmt("  uint64_t prev_%s = 0;\n", name(in).c_str());
-      out_ += "  bool first_cycle_ = true;\n";
-      out_ += strfmt("  %s() { for (auto& a : act_) a = true; }\n", opts_.className.c_str());
+      for (int32_t in : ir_.inputs) out_ += strfmt("  uint64_t prev_%s_;\n", name(in).c_str());
+      out_ += "  bool first_cycle_;\n";
     }
-    out_ += "\n";
+    // Constants are stored once here and never re-evaluated.
+    out_ += strfmt("\n  %s() {\n", opts_.className.c_str());
+    out_ += "    std::memset(static_cast<void*>(this), 0, sizeof(*this));\n";
+    for (const auto& op : ir_.ops) {
+      if (op.code != OpCode::Const) continue;
+      const BitVec& v = ir_.constPool[static_cast<size_t>(op.imm0)];
+      if (!v.isZero())
+        out_ += strfmt("    %s = 0x%sull;\n", name(op.dest).c_str(), v.toHexString().c_str());
+    }
+    if (opts_.ccss) out_ += "    for (bool& a_ : act_) a_ = true;\n    first_cycle_ = true;\n";
+    out_ += "  }\n\n";
   }
 
   // RHS expression implementing `op` (pre-mask); mirrors sim/op_eval.h's
@@ -411,8 +452,36 @@ class Emitter {
     return "0";
   }
 
+  // Bits opExpr(op) can occupy before masking, given that every operand
+  // fits its own width (each stored value is masked, and harnesses poke
+  // in-range inputs); 64 where no narrower bound is cheap to state.
+  uint32_t resultBits(const Op& op) const {
+    const bool sg = op.signedOp;
+    const uint32_t aW = op.args[0] >= 0 ? width(op.args[0]) : 64;
+    const uint32_t bW = op.args[1] >= 0 ? width(op.args[1]) : 64;
+    switch (op.code) {
+      case OpCode::Lt: case OpCode::Leq: case OpCode::Gt: case OpCode::Geq:
+      case OpCode::Eq: case OpCode::Neq:
+      case OpCode::Andr: case OpCode::Orr: case OpCode::Xorr:
+        return 1;
+      case OpCode::Copy: case OpCode::Pad: case OpCode::Cvt:
+        return sg ? 64 : aW;
+      case OpCode::And: case OpCode::Or: case OpCode::Xor:
+        return sg ? 64 : std::max(aW, bW);
+      case OpCode::Mux:
+        return sg ? 64 : std::max(bW, width(op.args[2]));
+      case OpCode::Cat: return aW + bW;
+      case OpCode::Bits: return aW - static_cast<uint32_t>(op.imm1);
+      case OpCode::Head: return static_cast<uint32_t>(op.imm0);
+      case OpCode::Shr:
+        return sg ? 64 : aW - static_cast<uint32_t>(std::min<int64_t>(aW, op.imm0));
+      default: return 64;
+    }
+  }
+
   void emitOp(const Op& op, const std::string& indent) {
-    out_ += indent + name(op.dest) + " = " + maskExpr(opExpr(op), width(op.dest)) + ";\n";
+    out_ += indent + name(op.dest) + " = " + maskExpr(opExpr(op), resultBits(op), width(op.dest)) +
+            ";\n";
   }
 
   // --- conditional evaluation of multiplexor ways (§III-B) ---
@@ -420,8 +489,7 @@ class Emitter {
   // Emits a sequence of ops (ascending topo order). With muxShadow on, any
   // op whose result is consumed only inside one arm of a mux in the same
   // sequence is sunk into that arm's branch, so the untaken way costs
-  // nothing. Constants never appear here (they are hoisted into member
-  // initializers).
+  // nothing. Constants never appear here (the constructor stores them).
   // Emits positions [from, to) of `ops` as a convergence loop over a
   // combinational-loop supernode (paper §II).
   size_t emitSuperRun(const std::vector<int32_t>& ops, size_t from, const std::string& indent) {
@@ -521,7 +589,8 @@ class Emitter {
     const bool sg = op.signedOp;
     auto armExpr = [&](int arm) {
       int32_t src = op.args[arm + 1];
-      return maskExpr(sg ? sxU(src) : name(src), width(op.dest));
+      return sg ? maskExpr(sxU(src), 64, width(op.dest))
+                : maskExpr(name(src), width(src), width(op.dest));
     };
     out_ += indent + "if (" + sel + ") {\n";
     for (size_t p : arms[0][pos]) emitPosStructured(ops, arms, p, indent + "  ");
@@ -680,17 +749,17 @@ class Emitter {
 
   void emitPartitionFunctions() {
     for (size_t pos = 0; pos < sched_->parts.size(); pos++)
-      emitPartitionFunction(pos, strfmt("  void part_%zu()", pos), "    ", "  }\n");
+      emitPartitionFunction(pos, strfmt("  void part_%zu_()", pos), "    ", "  }\n");
     out_ += "\n";
   }
 
   void emitInputSweep(const std::string& ind) {
     for (size_t i = 0; i < ir_.inputs.size(); i++) {
       int32_t in = ir_.inputs[i];
-      out_ += ind + strfmt("if (first_cycle_ || %s != prev_%s) {\n", name(in).c_str(),
+      out_ += ind + strfmt("if (first_cycle_ || %s != prev_%s_) {\n", name(in).c_str(),
                            name(in).c_str());
       for (int32_t p : sched_->inputConsumers[i]) out_ += ind + strfmt("  act_[%d] = true;\n", p);
-      out_ += ind + strfmt("  prev_%s = %s;\n", name(in).c_str(), name(in).c_str());
+      out_ += ind + strfmt("  prev_%s_ = %s;\n", name(in).c_str(), name(in).c_str());
       out_ += ind + "}\n";
     }
   }
@@ -715,7 +784,7 @@ class Emitter {
       out_ += "    first_cycle_ = false;\n";
       out_ += "    // 2. singular static partition sweep\n";
       for (size_t pos = 0; pos < sched_->parts.size(); pos++)
-        out_ += strfmt("    if (act_[%zu]) part_%zu();\n", pos, pos);
+        out_ += strfmt("    if (act_[%zu]) part_%zu_();\n", pos, pos);
       out_ += "    // 3. side effects\n";
       emitPrintsAndStops("    ");
       out_ += "    // 4. phase 2: non-elided state elements\n";
@@ -744,8 +813,8 @@ ShardedCpp emitCppSharded(const SimIR& ir, const CondPartSchedule* schedule,
   return e.runSharded(shards, base);
 }
 
-std::string memberName(const SimIR& ir, int32_t sig) {
-  return buildNames(ir)[static_cast<size_t>(sig)];
+std::string memberName(const SimIR& ir, int32_t sig, const std::string& className) {
+  return buildNames(ir, className)[static_cast<size_t>(sig)];
 }
 
 }  // namespace essent::codegen

@@ -2,7 +2,9 @@
 // SimIR (and, for CCSS mode, a CondPartSchedule), emits a self-contained
 // C++17 translation unit defining a `struct <className>` with one public
 // member per named signal, backdoor-accessible memories, and an eval()
-// advancing one clock cycle.
+// advancing one clock cycle. The struct is plain data: its constructor
+// zero-fills the object and then stores only the nonzero constants (and,
+// in CCSS mode, the all-active start state).
 //
 // Two modes, mirroring the paper's evaluation configurations:
 //  * baseline  — straight-line full-cycle evaluation (static schedule, no
@@ -72,6 +74,8 @@ ShardedCpp emitCppSharded(const sim::SimIR& ir, const core::CondPartSchedule* sc
 
 // The C identifier used for a signal in generated code (stable mapping,
 // collision-free); exposed so harnesses can address generated members.
-std::string memberName(const sim::SimIR& ir, int32_t sig);
+// `className` is CodegenOptions::className of the emission.
+std::string memberName(const sim::SimIR& ir, int32_t sig,
+                       const std::string& className = "Simulator");
 
 }  // namespace essent::codegen

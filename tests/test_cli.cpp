@@ -144,6 +144,22 @@ TEST(Cli, CompileRunCrossChecksInterpreter) {
   EXPECT_NE(res.output.find("outputs match the interpreter"), std::string::npos);
   auto bad = runCli("--compile-run 5 --poke nosuch=1 " + fir);
   EXPECT_NE(bad.exitCode, 0);
+  // A poke wider than its input is masked on both sides, as Engine::poke
+  // masks it: the emitted mux stores its unsigned arm unmasked.
+  std::string wideFir = writeFir(R"(
+circuit W :
+  module W :
+    input clock : Clock
+    input s : UInt<1>
+    input a : UInt<4>
+    output o : UInt<4>
+    reg r : UInt<4>, clock
+    r <= mux(s, a, r)
+    o <= r
+)");
+  auto wide = runCli("--compile-run 2 --poke s=1 --poke a=0x1d " + wideFir);
+  EXPECT_EQ(wide.exitCode, 0) << wide.output;
+  EXPECT_NE(wide.output.find("o = 0xd (matches interpreter)"), std::string::npos) << wide.output;
 }
 
 TEST(Cli, EngineLongAliasesAccepted) {

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -38,8 +39,10 @@ TEST(Codegen, EmitsStructWithNamedMembers) {
   opts.ccss = false;
   std::string code = emitCpp(ir, nullptr, opts);
   EXPECT_NE(code.find("struct Simulator"), std::string::npos);
-  EXPECT_NE(code.find("uint64_t count = 0"), std::string::npos);
-  EXPECT_NE(code.find("uint64_t r = 0"), std::string::npos);
+  EXPECT_NE(code.find("uint64_t count;"), std::string::npos);
+  EXPECT_NE(code.find("uint64_t r;"), std::string::npos);
+  EXPECT_NE(code.find("std::memset(static_cast<void*>(this), 0, sizeof(*this));"),
+            std::string::npos);
   EXPECT_NE(code.find("void eval()"), std::string::npos);
   // Baseline mode has no activity machinery.
   EXPECT_EQ(code.find("act_["), std::string::npos);
@@ -50,7 +53,7 @@ TEST(Codegen, CcssModeEmitsPartitionsAndTriggers) {
   CondPartSchedule sched = makeSchedule(ir);
   std::string code = emitCpp(ir, &sched, CodegenOptions{});
   EXPECT_NE(code.find("bool act_["), std::string::npos);
-  EXPECT_NE(code.find("void part_0()"), std::string::npos);
+  EXPECT_NE(code.find("void part_0_()"), std::string::npos);
   EXPECT_NE(code.find("first_cycle_"), std::string::npos);
   // Push-direction triggering via OR-reduction.
   EXPECT_NE(code.find("|= ch"), std::string::npos);
@@ -102,21 +105,91 @@ circuit S :
   EXPECT_EQ(without.find("} else {"), std::string::npos);
 }
 
-TEST(Codegen, ConstantsHoistedIntoInitializers) {
+// Nonzero constants are stored once, by the constructor; zero constants
+// are left to its zero-fill; neither is ever assigned in eval().
+TEST(Codegen, ConstantsStoredByConstructor) {
   SimIR ir = sim::buildFromFirrtl(R"(
 circuit C :
   module C :
     input a : UInt<8>
     output o : UInt<9>
+    output z : UInt<8>
     o <= add(a, UInt<8>("hab"))
+    z <= xor(a, UInt<8>(0))
+)");
+  for (bool ccss : {false, true}) {
+    SCOPED_TRACE(ccss ? "ccss" : "baseline");
+    CondPartSchedule sched = makeSchedule(ir);
+    CodegenOptions opts;
+    opts.ccss = ccss;
+    std::string code = emitCpp(ir, ccss ? &sched : nullptr, opts);
+    const size_t ctorPos = code.find("  Simulator() {");
+    const size_t ctorEnd = code.find("\n  }\n", ctorPos);
+    ASSERT_NE(ctorPos, std::string::npos);
+    const std::string ctor = code.substr(ctorPos, ctorEnd - ctorPos);
+    EXPECT_NE(ctor.find(" = 0xabull;"), std::string::npos) << ctor;
+    EXPECT_EQ(ctor.find(" = 0x0ull;"), std::string::npos) << ctor;
+    EXPECT_EQ(code.find("= 0xabull;", ctorEnd), std::string::npos);
+    EXPECT_EQ(code.find("= 0x0ull;"), std::string::npos);
+  }
+}
+
+// No member carries a default initializer: in the struct body (two-space
+// indent; function bodies are indented further) every data member
+// declaration ends at its name.
+TEST(Codegen, NoDefaultMemberInitializers) {
+  SimIR ir = sim::buildFromFirrtl(designs::gatedBanksFirrtl(4, 8));
+  CondPartSchedule sched = makeSchedule(ir);
+  for (bool ccss : {false, true}) {
+    SCOPED_TRACE(ccss ? "ccss" : "baseline");
+    CodegenOptions opts;
+    opts.ccss = ccss;
+    const CondPartSchedule* sp = ccss ? &sched : nullptr;
+    for (const std::string& text :
+         {emitCpp(ir, sp, opts), emitCppSharded(ir, sp, opts, 2, "sim").header}) {
+      std::istringstream lines(text.substr(text.find("struct Simulator {")));
+      size_t members = 0, live = 0;
+      for (const auto& sig : ir.signals) live += sig.kind != sim::SigKind::Dead;
+      for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("  uint64_t ", 0) != 0 && line.rfind("  bool ", 0) != 0 &&
+            line.rfind("  int ", 0) != 0)
+          continue;
+        members++;
+        EXPECT_EQ(line.find('='), std::string::npos) << line;
+        EXPECT_EQ(line.find('{'), std::string::npos) << line;
+      }
+      EXPECT_GE(members, live);
+    }
+  }
+}
+
+// The mask is dropped where the operand widths already bound the result,
+// and kept where the result can spill past the destination width.
+TEST(Codegen, DropsMasksWidthsProveRedundant) {
+  SimIR ir = sim::buildFromFirrtl(R"(
+circuit M :
+  module M :
+    input a : UInt<8>
+    input b : UInt<8>
+    input c : UInt<16>
+    output o : UInt<16>
+    output e : UInt<1>
+    output t : UInt<4>
+    output n : UInt<8>
+    output q : UInt<16>
+    o <= pad(a, 16)
+    e <= eq(a, b)
+    t <= bits(c, 15, 12)
+    n <= not(a)
+    q <= cat(a, b)
 )");
   CodegenOptions opts;
   opts.ccss = false;
   std::string code = emitCpp(ir, nullptr, opts);
-  EXPECT_NE(code.find("= 0xab"), std::string::npos);
-  // No per-cycle constant assignment in eval().
-  size_t evalPos = code.find("void eval()");
-  EXPECT_EQ(code.find("= 0xabull;", evalPos), std::string::npos);
+  EXPECT_EQ(code.find("& 0xffffull"), std::string::npos) << code;  // pad and cat
+  EXPECT_EQ(code.find("& 0x1ull"), std::string::npos) << code;     // eq
+  EXPECT_EQ(code.find("& 0xfull"), std::string::npos) << code;     // bits at the top
+  EXPECT_NE(code.find("(~a)) & 0xffull"), std::string::npos) << code;  // not: kept
 }
 
 TEST(Codegen, RejectsWideSignals) {
@@ -142,32 +215,42 @@ TEST(Codegen, MemberNamesAreUniqueAndStable) {
 
 // --- compile-and-run integration ---
 
+// Compiles `sources` (files in `dir`) with warnings as errors, so emitted
+// code stays warning-clean under the host compiler; runs the binary,
+// removes `dir` and returns the process stdout, or a failure marker with
+// the compiler log.
+std::string buildRunAndClean(const std::string& dir, const std::string& sources) {
+  const std::string bin = dir + "/sim";
+  const std::string cmd =
+      "c++ -std=c++20 -O1 -Wall -Wextra -Werror -o " + bin + sources + " 2>" + dir + "/cc.log";
+  std::stringstream ss;
+  if (std::system(cmd.c_str()) != 0) {
+    std::ifstream log(dir + "/cc.log");
+    ss << "<compile failed>\n" << log.rdbuf();
+  } else if (std::system((bin + " > " + dir + "/out.txt").c_str()) != 0) {
+    ss << "<run failed>";
+  } else {
+    std::ifstream out(dir + "/out.txt");
+    ss << out.rdbuf();
+  }
+  std::filesystem::remove_all(dir);
+  return ss.str();
+}
+
 // Compiles `code` + `mainBody` and returns the process stdout.
 // `mainBody` runs inside main() with a Simulator named `sim` in scope.
 std::string compileAndRun(const std::string& code, const std::string& mainBody) {
   char dirTemplate[] = "/tmp/essent_cg_XXXXXX";
   char* dir = mkdtemp(dirTemplate);
   if (!dir) return "<mkdtemp failed>";
-  std::string src = std::string(dir) + "/sim.cpp";
-  std::string bin = std::string(dir) + "/sim";
+  const std::string src = std::string(dir) + "/sim.cpp";
   {
     std::ofstream f(src);
     f << code;
-    f << "\nint main() {\n  essent_gen::Simulator sim;\n" << mainBody << "\n  return 0;\n}\n";
+    f << "\n#include <new>\nint main() {\n  essent_gen::Simulator sim;\n" << mainBody
+      << "\n  return 0;\n}\n";
   }
-  std::string cmd = "c++ -std=c++20 -O1 -o " + bin + " " + src + " 2>" + dir + "/cc.log";
-  if (std::system(cmd.c_str()) != 0) {
-    std::ifstream log(std::string(dir) + "/cc.log");
-    std::stringstream ss;
-    ss << "<compile failed>\n" << log.rdbuf();
-    return ss.str();
-  }
-  std::string outFile = std::string(dir) + "/out.txt";
-  if (std::system((bin + " > " + outFile).c_str()) != 0) return "<run failed>";
-  std::ifstream out(outFile);
-  std::stringstream ss;
-  ss << out.rdbuf();
-  return ss.str();
+  return buildRunAndClean(dir, " " + src);
 }
 
 // Like compileAndRun, but over a sharded emission: writes the header and
@@ -181,29 +264,16 @@ std::string compileAndRunSharded(const codegen::ShardedCpp& sh, const std::strin
     f << text;
   };
   write(sh.headerName, sh.header);
-  std::string srcs;
+  std::string srcs = " " + std::string(dir) + "/main.cpp";
   for (size_t k = 0; k < sh.units.size(); k++) {
     write(sh.unitNames[k], sh.units[k]);
     srcs += " " + std::string(dir) + "/" + sh.unitNames[k];
   }
   write("main.cpp", "#include \"" + sh.headerName +
-                        "\"\n#include <cstdio>\nint main() {\n  essent_gen::Simulator sim;\n" +
+                        "\"\n#include <cstdio>\n#include <new>\nint main() {\n"
+                        "  essent_gen::Simulator sim;\n" +
                         mainBody + "\n  return 0;\n}\n");
-  std::string bin = std::string(dir) + "/sim";
-  std::string cmd = "c++ -std=c++20 -O1 -o " + bin + " " + dir + "/main.cpp" + srcs + " 2>" +
-                    dir + "/cc.log";
-  if (std::system(cmd.c_str()) != 0) {
-    std::ifstream log(std::string(dir) + "/cc.log");
-    std::stringstream ss;
-    ss << "<compile failed>\n" << log.rdbuf();
-    return ss.str();
-  }
-  std::string outFile = std::string(dir) + "/out.txt";
-  if (std::system((bin + " > " + outFile).c_str()) != 0) return "<run failed>";
-  std::ifstream out(outFile);
-  std::stringstream ss;
-  ss << out.rdbuf();
-  return ss.str();
+  return buildRunAndClean(dir, srcs);
 }
 
 // The sharded emission must behave exactly like the single-TU one in both
@@ -233,6 +303,81 @@ TEST(CodegenRun, ShardedMatchesSingleUnitBothModes) {
     std::string out = compileAndRunSharded(sh, mainBody);
     EXPECT_EQ(out, single) << (ccss ? "ccss" : "baseline") << " mode:\n" << out;
     EXPECT_NE(out.find("sum="), std::string::npos);
+  }
+}
+
+// The construction contract: before its first eval(), a fresh Simulator
+// reads every nonzero constant and zero in every other signal, memory row
+// and status field, even when built over garbage-filled storage.
+TEST(CodegenRun, FreshSimulatorReadsConstantsAndZeros) {
+  SimIR ir = sim::buildFromFirrtl(R"(
+circuit K :
+  module K :
+    input clock : Clock
+    input reset : UInt<1>
+    input a : UInt<8>
+    input s : SInt<6>
+    output o : UInt<9>
+    output p : SInt<7>
+    output q : UInt<8>
+    reg r : UInt<8>, clock with : (reset => (reset, UInt<8>("h5a")))
+    mem m :
+      data-type => UInt<8>
+      depth => 4
+      read-latency => 0
+      write-latency => 1
+      read-under-write => undefined
+      reader => rd
+      writer => wr
+    m.rd.addr <= bits(a, 1, 0)
+    m.rd.en <= UInt<1>(1)
+    m.rd.clk <= clock
+    m.wr.addr <= bits(a, 3, 2)
+    m.wr.en <= UInt<1>(1)
+    m.wr.clk <= clock
+    m.wr.data <= or(r, UInt<8>(0))
+    m.wr.mask <= UInt<1>(1)
+    r <= xor(a, UInt<8>("hc3"))
+    o <= add(a, UInt<8>("hab"))
+    p <= add(s, SInt<6>(-3))
+    q <= m.rd.data
+)");
+  CondPartSchedule sched = makeSchedule(ir);
+  std::string body =
+      "  alignas(essent_gen::Simulator) static unsigned char junk[sizeof(essent_gen::Simulator)];\n"
+      "  std::memset(junk, 0xa5, sizeof junk);\n"
+      "  const essent_gen::Simulator& f = *::new (static_cast<void*>(junk)) essent_gen::Simulator;\n";
+  std::string expected;
+  size_t nonzero = 0;
+  for (size_t s = 0; s < ir.signals.size(); s++) {
+    const sim::Signal& sig = ir.signals[s];
+    if (sig.kind == sim::SigKind::Dead) continue;
+    uint64_t value = 0;
+    if (sig.defOp >= 0 && ir.ops[static_cast<size_t>(sig.defOp)].code == sim::OpCode::Const)
+      value = ir.constPool[static_cast<size_t>(ir.ops[static_cast<size_t>(sig.defOp)].imm0)].toU64();
+    nonzero += value != 0;
+    const std::string n = memberName(ir, static_cast<int32_t>(s));
+    body += strfmt("  std::printf(\"%s=%%llx\\n\", (unsigned long long)f.%s);\n", n.c_str(),
+                   n.c_str());
+    expected += strfmt("%s=%llx\n", n.c_str(), static_cast<unsigned long long>(value));
+  }
+  ASSERT_GE(nonzero, 3u);  // 0x5a, 0xc3, 0xab, -3 (some may fold away)
+  for (const sim::MemInfo& m : ir.mems) {
+    body += strfmt("  for (unsigned i = 0; i < %llu; i++) std::printf(\"%%llx\\n\", "
+                   "(unsigned long long)f.mem_%s[i]);\n",
+                   static_cast<unsigned long long>(m.depth), sanitizeIdent(m.name).c_str());
+    for (uint64_t i = 0; i < m.depth; i++) expected += "0\n";
+  }
+  body += "  std::printf(\"status %llu %d %d\\n\", (unsigned long long)f.cycles_, (int)f.stopped_, "
+          "f.exit_code_);\n";
+  expected += "status 0 0 0\n";
+  for (bool ccss : {false, true}) {
+    SCOPED_TRACE(ccss ? "ccss" : "baseline");
+    CodegenOptions opts;
+    opts.ccss = ccss;
+    const CondPartSchedule* sp = ccss ? &sched : nullptr;
+    EXPECT_EQ(compileAndRun(emitCpp(ir, sp, opts), body), expected);
+    EXPECT_EQ(compileAndRunSharded(emitCppSharded(ir, sp, opts, 2, "k"), body), expected);
   }
 }
 

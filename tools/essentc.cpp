@@ -683,7 +683,10 @@ int runCompileRun(const Args& a, std::shared_ptr<const sim::CompiledDesign> desi
         std::fprintf(stderr, "essentc: no signal named '%s'\n", name2.c_str());
         return 1;
       }
-      f << "  sim." << codegen::memberName(ir, sig) << " = " << value << "ull;\n";
+      // Masked like Engine::poke: emitted code relies on in-range values.
+      const uint32_t w = ir.signals[static_cast<size_t>(sig)].width;
+      f << "  sim." << codegen::memberName(ir, sig) << " = "
+        << (w >= 64 ? value : value & ((1ull << w) - 1)) << "ull;\n";
     }
     f << "  for (unsigned long long c = 0; c < " << a.runCycles
       << "ull && !sim.stopped_; c++) sim.eval();\n";
