@@ -18,12 +18,32 @@ using sim::SimIR;
 
 namespace {
 
+// Each memory's array is mem_<sanitized name>. Memories whose names sanitize
+// alike (memory b of instance x and a top-level x_b) keep the first that
+// name and give the rest a numeric suffix no other memory's array takes, so
+// a name that collides with nothing stays as a harness spells it.
+std::vector<std::string> buildMemNames(const SimIR& ir) {
+  std::vector<std::string> names;
+  std::unordered_set<std::string> bases, taken;
+  for (const auto& m : ir.mems) bases.insert("mem_" + sanitizeIdent(m.name));
+  for (const auto& m : ir.mems) {
+    const std::string base = "mem_" + sanitizeIdent(m.name);
+    std::string name = base;
+    for (int suffix = 1; !taken.insert(name).second;) {
+      do name = base + "_" + std::to_string(suffix++);
+      while (bases.count(name));
+    }
+    names.push_back(name);
+  }
+  return names;
+}
+
 // Identifiers a signal's member name must not take. Every identifier the
 // emitter makes up for itself ends in '_' (act_, part_0_, prev_a_, finish_,
 // sx_, ...), and buildNames never emits a trailing '_', so those are out of
 // reach by construction. Reserved here are the rest: the public names a
-// harness spells (eval, the class, each memory's mem_<name>), C++ keywords,
-// and uint64_t, which a member of that name would hide inside the struct.
+// harness spells (eval, the class, each memory's array), C++ keywords, and
+// uint64_t, which a member of that name would hide inside the struct.
 std::unordered_set<std::string> reservedNames(const SimIR& ir, const std::string& className) {
   std::unordered_set<std::string> used = {
       "eval", className, "uint64_t",
@@ -39,7 +59,7 @@ std::unordered_set<std::string> reservedNames(const SimIR& ir, const std::string
       "template", "this", "thread_local", "throw", "true", "try", "typedef", "typeid",
       "typename", "union", "unsigned", "using", "virtual", "void", "volatile", "wchar_t",
       "while", "xor", "xor_eq"};
-  for (const auto& m : ir.mems) used.insert("mem_" + sanitizeIdent(m.name));
+  for (std::string& m : buildMemNames(ir)) used.insert(std::move(m));
   return used;
 }
 
@@ -68,7 +88,8 @@ std::string maskExpr(const std::string& e, uint32_t bits, uint32_t width) {
 class Emitter {
  public:
   Emitter(const SimIR& ir, const CondPartSchedule* sched, const CodegenOptions& opts)
-      : ir_(ir), sched_(sched), opts_(opts), names_(buildNames(ir, opts.className)) {
+      : ir_(ir), sched_(sched), opts_(opts), names_(buildNames(ir, opts.className)),
+        memNames_(buildMemNames(ir)) {
     for (const auto& sig : ir.signals) {
       if (sig.kind != SigKind::Dead && sig.width > 64)
         throw CodegenError("signal '" + sig.name + "' is wider than 64 bits; the C++ backend "
@@ -80,6 +101,7 @@ class Emitter {
   }
 
   std::string run() {
+    computeLocals(opts_.ccss ? partitionOfOp() : std::vector<int32_t>(ir_.ops.size(), 0));
     emitPreamble();
     emitMembers();
     if (opts_.ccss) emitPartitionFunctions();
@@ -97,6 +119,7 @@ class Emitter {
     // (CCSS) or one per contiguous op slice (baseline).
     std::vector<std::string> decls, defs;
     if (opts_.ccss) {
+      computeLocals(partitionOfOp());
       for (size_t pos = 0; pos < sched_->parts.size(); pos++) {
         decls.push_back(strfmt("  void part_%zu_();\n", pos));
         out_.clear();
@@ -105,28 +128,30 @@ class Emitter {
         defs.push_back(std::move(out_));
       }
     } else {
-      std::vector<int32_t> all(ir_.ops.size());
-      for (size_t i = 0; i < all.size(); i++) all[i] = static_cast<int32_t>(i);
-      const size_t per = all.size() / std::max<uint32_t>(1, shards) + 1;
-      size_t from = 0;
-      while (from < all.size()) {
-        size_t to = std::min(all.size(), from + per);
-        // Never split a combinational-loop supernode's convergence run.
-        while (to < all.size() &&
-               ir_.superOf(static_cast<size_t>(all[to])) >= 0 &&
-               ir_.superOf(static_cast<size_t>(all[to])) ==
-                   ir_.superOf(static_cast<size_t>(all[to - 1])))
+      // Contiguous op slices; a combinational-loop supernode's convergence
+      // run is never split.
+      std::vector<int32_t> chunkOf(ir_.ops.size());
+      std::vector<std::vector<int32_t>> chunks;
+      const size_t per = ir_.ops.size() / std::max<uint32_t>(1, shards) + 1;
+      for (size_t from = 0, to; from < ir_.ops.size(); from = to) {
+        to = std::min(ir_.ops.size(), from + per);
+        while (to < ir_.ops.size() && ir_.superOf(to) >= 0 &&
+               ir_.superOf(to) == ir_.superOf(to - 1))
           to++;
-        const size_t k = decls.size();
+        chunks.emplace_back();
+        for (size_t i = from; i < to; i++) {
+          chunkOf[i] = static_cast<int32_t>(chunks.size() - 1);
+          chunks.back().push_back(static_cast<int32_t>(i));
+        }
+      }
+      computeLocals(chunkOf);
+      for (size_t k = 0; k < chunks.size(); k++) {
         decls.push_back(strfmt("  void chunk_%zu_();\n", k));
         out_.clear();
         out_ += strfmt("void %s::chunk_%zu_() {\n", cn.c_str(), k);
-        emitOpSeq(std::vector<int32_t>(all.begin() + static_cast<ptrdiff_t>(from),
-                                       all.begin() + static_cast<ptrdiff_t>(to)),
-                  "  ");
+        emitOpSeq(chunks[k], "  ");
         out_ += "}\n\n";
         defs.push_back(std::move(out_));
-        from = to;
       }
     }
 
@@ -220,11 +245,94 @@ class Emitter {
   const CondPartSchedule* sched_;
   CodegenOptions opts_;
   std::vector<std::string> names_;
+  std::vector<std::string> memNames_;
   std::string out_;
   int32_t resetSig_ = -1;
   // Number of consumers of each signal across the whole program; named
   // signals are pinned (never sinkable into a mux way) with a sentinel.
   std::vector<uint32_t> useCount_;
+  // Signals declared as locals of their work function instead of members.
+  std::vector<char> local_;
+
+  // The schedule position of the partition each op belongs to (CCSS).
+  std::vector<int32_t> partitionOfOp() const {
+    std::vector<int32_t> fn(ir_.ops.size(), -1);
+    for (size_t pos = 0; pos < sched_->parts.size(); pos++)
+      for (int32_t op : sched_->parts[pos].ops)
+        fn[static_cast<size_t>(op)] = static_cast<int32_t>(pos);
+    return fn;
+  }
+
+  // Only state, IO, named signals and values shared between functions must
+  // persist in the struct: every member slows the host compiler's parse of
+  // the class (name lookup grows with member count) and its alias analysis.
+  // So an anonymous temporary whose one defining work function (`fnOfOp`:
+  // partition, chunk or eval) is also its only reader becomes a local
+  // there. It stays a member when it is a partition output, is read by
+  // finish-side code (deferred state writes, prints, stops, asserts) or a
+  // memory reader port, holds a constant (stored once by the constructor),
+  // or belongs to a combinational-loop supernode (convergence reads the
+  // previous value).
+  void computeLocals(const std::vector<int32_t>& fnOfOp) {
+    constexpr int32_t kUnread = -1, kShared = -2;
+    std::vector<int32_t> reader(ir_.signals.size(), kUnread);
+    auto read = [&](int32_t s, int32_t fn) {
+      if (s < 0) return;
+      int32_t& r = reader[static_cast<size_t>(s)];
+      r = r == kUnread || r == fn ? fn : kShared;
+    };
+    auto pin = [&](int32_t s) { read(s, kShared); };
+    for (size_t i = 0; i < ir_.ops.size(); i++) {
+      const Op& op = ir_.ops[i];
+      for (int k = 0; k < op.numArgs(); k++) read(op.args[k], fnOfOp[i]);
+    }
+    auto regNext = [&](const core::SchedRegWrite& rw) {
+      return ir_.regs[static_cast<size_t>(rw.regIdx)].next;
+    };
+    auto memWritePorts = [&](const core::SchedMemWrite& mw, auto&& use) {
+      const sim::MemWriter& w =
+          ir_.mems[static_cast<size_t>(mw.memIdx)].writers[static_cast<size_t>(mw.writerIdx)];
+      for (int32_t s : {w.addr, w.en, w.data, w.mask}) use(s);
+    };
+    if (opts_.ccss) {
+      for (size_t pos = 0; pos < sched_->parts.size(); pos++) {
+        const auto& part = sched_->parts[pos];
+        auto here = [&](int32_t s) { read(s, static_cast<int32_t>(pos)); };
+        for (const auto& rw : part.regWrites) here(regNext(rw));
+        for (const auto& mw : part.memWrites) memWritePorts(mw, here);
+        for (const auto& o : part.outputs) pin(o.sig);
+      }
+      for (const auto& rw : sched_->deferredRegs) pin(regNext(rw));
+      for (const auto& mw : sched_->deferredMemWrites) memWritePorts(mw, pin);
+    } else {
+      for (const auto& r : ir_.regs) pin(r.next);
+      for (const auto& m : ir_.mems)
+        for (const auto& w : m.writers)
+          for (int32_t s : {w.addr, w.en, w.data, w.mask}) pin(s);
+    }
+    for (const auto& m : ir_.mems)
+      for (const auto& rd : m.readers) {
+        pin(rd.addr);
+        pin(rd.en);
+      }
+    for (const auto& p : ir_.prints) {
+      pin(p.en);
+      for (int32_t a : p.args) pin(a);
+    }
+    for (const auto& st : ir_.stops) pin(st.en);
+    for (const auto& a : ir_.asserts) {
+      pin(a.en);
+      pin(a.pred);
+    }
+    local_.assign(ir_.signals.size(), 0);
+    for (size_t s = 0; s < ir_.signals.size(); s++) {
+      const int32_t def = ir_.signals[s].defOp;
+      if (ir_.signals[s].kind != SigKind::Temp || def < 0) continue;
+      const size_t d = static_cast<size_t>(def);
+      local_[s] = ir_.ops[d].code != OpCode::Const && ir_.superOf(d) < 0 && fnOfOp[d] >= 0 &&
+                  reader[s] == fnOfOp[d];
+    }
+  }
 
   void computeUseCounts() {
     useCount_.assign(ir_.signals.size(), 0);
@@ -304,15 +412,15 @@ class Emitter {
   // struct and dominates its host compile. The constructor instead zero-fills
   // the plain-data object and stores only what is not zero.
   void emitMembers() {
-    out_ += "  // --- design state (one member per signal) ---\n";
+    out_ += "  // --- design state (one member per signal that persists) ---\n";
     for (size_t s = 0; s < ir_.signals.size(); s++) {
-      if (ir_.signals[s].kind == SigKind::Dead) continue;
+      if (ir_.signals[s].kind == SigKind::Dead || local_[s]) continue;
       out_ += strfmt("  uint64_t %s;  // width %u%s\n", names_[s].c_str(), ir_.signals[s].width,
                      ir_.signals[s].isSigned ? " (signed)" : "");
     }
-    for (const auto& m : ir_.mems) {
-      out_ += strfmt("  uint64_t mem_%s[%llu];\n", sanitizeIdent(m.name).c_str(),
-                     static_cast<unsigned long long>(m.depth));
+    for (size_t m = 0; m < ir_.mems.size(); m++) {
+      out_ += strfmt("  uint64_t %s[%llu];\n", memNames_[m].c_str(),
+                     static_cast<unsigned long long>(ir_.mems[m].depth));
     }
     out_ += "  uint64_t cycles_;\n  bool stopped_;\n  int exit_code_;\n";
     if (opts_.ccss) {
@@ -444,9 +552,9 @@ class Emitter {
                       ir_.constPool[static_cast<size_t>(op.imm0)].toHexString().c_str());
       case OpCode::MemRead: {
         const auto& m = ir_.mems[static_cast<size_t>(op.imm0)];
-        return strfmt("((%s != 0 && %s < %llu) ? mem_%s[%s] : 0)", B().c_str(), A().c_str(),
-                      static_cast<unsigned long long>(m.depth), sanitizeIdent(m.name).c_str(),
-                      A().c_str());
+        return strfmt("((%s != 0 && %s < %llu) ? %s[%s] : 0)", B().c_str(), A().c_str(),
+                      static_cast<unsigned long long>(m.depth),
+                      memNames_[static_cast<size_t>(op.imm0)].c_str(), A().c_str());
       }
     }
     return "0";
@@ -479,9 +587,15 @@ class Emitter {
     }
   }
 
+  // A local is declared where its op assigns it: every read is later in
+  // the same function and, for a value sunk into a mux way, in that way.
+  std::string declared(int32_t sig) const {
+    return local_[static_cast<size_t>(sig)] ? "uint64_t " + name(sig) : name(sig);
+  }
+
   void emitOp(const Op& op, const std::string& indent) {
-    out_ += indent + name(op.dest) + " = " + maskExpr(opExpr(op), resultBits(op), width(op.dest)) +
-            ";\n";
+    out_ += indent + declared(op.dest) + " = " +
+            maskExpr(opExpr(op), resultBits(op), width(op.dest)) + ";\n";
   }
 
   // --- conditional evaluation of multiplexor ways (§III-B) ---
@@ -592,6 +706,7 @@ class Emitter {
       return sg ? maskExpr(sxU(src), 64, width(op.dest))
                 : maskExpr(name(src), width(src), width(op.dest));
     };
+    if (local_[static_cast<size_t>(op.dest)]) out_ += indent + declared(op.dest) + ";\n";
     out_ += indent + "if (" + sel + ") {\n";
     for (size_t p : arms[0][pos]) emitPosStructured(ops, arms, p, indent + "  ");
     out_ += indent + "  " + name(op.dest) + " = " + armExpr(0) + ";\n";
@@ -618,7 +733,7 @@ class Emitter {
                     const std::string& indent) {
     const auto& m = ir_.mems[static_cast<size_t>(memIdx)];
     const auto& w = m.writers[static_cast<size_t>(writerIdx)];
-    std::string arr = "mem_" + sanitizeIdent(m.name);
+    const std::string& arr = memNames_[static_cast<size_t>(memIdx)];
     out_ += indent + strfmt("if (%s && %s && %s < %llu) {\n", name(w.en).c_str(),
                             name(w.mask).c_str(), name(w.addr).c_str(),
                             static_cast<unsigned long long>(m.depth));
@@ -816,5 +931,7 @@ ShardedCpp emitCppSharded(const SimIR& ir, const CondPartSchedule* schedule,
 std::string memberName(const SimIR& ir, int32_t sig, const std::string& className) {
   return buildNames(ir, className)[static_cast<size_t>(sig)];
 }
+
+std::string memArrayName(const SimIR& ir, size_t memIdx) { return buildMemNames(ir)[memIdx]; }
 
 }  // namespace essent::codegen

@@ -1,8 +1,13 @@
 // C++ code generation backend: the analogue of ESSENT's output. Given a
 // SimIR (and, for CCSS mode, a CondPartSchedule), emits a self-contained
-// C++17 translation unit defining a `struct <className>` with one public
-// member per named signal, backdoor-accessible memories, and an eval()
-// advancing one clock cycle. The struct is plain data: its constructor
+// C++17 translation unit defining a `struct <className>` whose public
+// members are what must persist between calls: every named signal (inputs,
+// outputs, registers, named nodes), backdoor-accessible memories, and the
+// anonymous temporaries that are constants, partition outputs, shared
+// between work functions or read by end-of-cycle code; plus an eval()
+// advancing one clock cycle. Every other temporary is a local of the one
+// partition function (CCSS) or evaluation chunk (baseline) that both
+// defines and reads it. The struct is plain data: its constructor
 // zero-fills the object and then stores only the nonzero constants (and,
 // in CCSS mode, the all-active start state).
 //
@@ -74,8 +79,14 @@ ShardedCpp emitCppSharded(const sim::SimIR& ir, const core::CondPartSchedule* sc
 
 // The C identifier used for a signal in generated code (stable mapping,
 // collision-free); exposed so harnesses can address generated members.
+// Only named signals (and constants) are guaranteed members: an anonymous
+// temporary may be a function local, with no member to address.
 // `className` is CodegenOptions::className of the emission.
 std::string memberName(const sim::SimIR& ir, int32_t sig,
                        const std::string& className = "Simulator");
+
+// The member array holding ir.mems[memIdx]: `mem_<sanitized name>`, with a
+// numeric suffix only when another memory's name sanitizes alike.
+std::string memArrayName(const sim::SimIR& ir, size_t memIdx);
 
 }  // namespace essent::codegen

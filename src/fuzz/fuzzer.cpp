@@ -35,9 +35,9 @@ void saveFailure(const std::string& dirPath, const CaseResult& cr, std::FILE* lo
                                       static_cast<unsigned long long>(cr.caseSeed));
   writeFile(base + ".fir", cr.fir);
   writeFile(base + ".stim", cr.stim.serialize());
-  std::string report = strfmt("case seed: %llu\nwide: %d\ncodegen checked: %d\n",
+  std::string report = strfmt("case seed: %llu\nwide: %d\ncodegen checked: %d (%u shards)\n",
                               static_cast<unsigned long long>(cr.caseSeed), cr.wide ? 1 : 0,
-                              cr.codegenChecked ? 1 : 0);
+                              cr.codegenChecked ? 1 : 0, cr.codegenShards);
   if (!cr.buildError.empty()) report += "build error: " + cr.buildError + "\n";
   if (cr.divergence) report += cr.divergence->describe() + "\n";
   if (!cr.shrunkFir.empty()) {
@@ -90,6 +90,9 @@ CaseResult runFuzzCase(uint64_t caseSeed, const FuzzConfig& config, std::FILE* l
                      oo.engines.end());
   oo.parThreads = config.parThreads;
   oo.subprocessTimeoutMs = config.subprocessTimeoutMs;
+  // Half the codegen-checked cases, by a case-seed bit so --replay matches,
+  // compile the sharded layout the compiled flow ships.
+  cr.codegenShards = oo.codegenShards = caseSeed % 2 ? 2 : 1;
 
   // Stimulus needs the built IR's input list; build errors are themselves
   // fuzz findings (the generator emits only well-formed FIRRTL).
@@ -145,7 +148,13 @@ CaseResult replayCase(const std::string& fir, const Stimulus& stim,
   oo.engines = config.engines;
   oo.parThreads = config.parThreads;
   oo.subprocessTimeoutMs = config.subprocessTimeoutMs;
+  // A replayed file has no case seed to pick a layout, so the codegen leg
+  // checks both: the single unit, then (if that agreed) two shards.
   OracleResult result = runOracle(fir, stim, oo);
+  if (result.ok() && hasKind(oo.engines, EngineKind::Codegen) && !result.codegenSkipped) {
+    cr.codegenShards = oo.codegenShards = 2;
+    result = runOracle(fir, stim, oo);
+  }
   cr.codegenChecked = hasKind(oo.engines, EngineKind::Codegen) && !result.codegenSkipped;
   cr.codegenSkipped = result.codegenSkipped;
   if (!result.buildError.empty())

@@ -3,10 +3,11 @@
 // directory.
 //
 // Determinism contract: every per-case decision (circuit shape, stimulus,
-// whether the case is wide or includes the compiled engine) derives from a
-// single 64-bit case seed, which itself derives from (campaign seed, case
-// index). `essent-fuzz --replay <caseSeed>` therefore reproduces any case
-// from any campaign exactly, without re-running the cases before it.
+// whether the case is wide or includes the compiled engine, and in which
+// shard layout) derives from a single 64-bit case seed, which itself
+// derives from (campaign seed, case index). `essent-fuzz --replay
+// <caseSeed>` therefore reproduces any case from any campaign exactly,
+// without re-running the cases before it.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,7 @@ struct CaseResult {
   bool wide = false;
   bool codegenChecked = false;
   bool codegenSkipped = false;
+  uint32_t codegenShards = 1;      // layout of the codegen leg (OracleOptions)
   std::string buildError;          // generator produced an unbuildable circuit
   std::optional<Divergence> divergence;
   std::string fir;                 // populated on failure
@@ -80,7 +82,8 @@ CaseResult runFuzzCase(uint64_t caseSeed, const FuzzConfig& config, std::FILE* l
 // (may be null); failing cases are saved under config.corpusDir.
 FuzzSummary runFuzzCampaign(const FuzzConfig& config, std::FILE* log);
 
-// Re-checks a saved reproducer (.fir + stimulus) through the oracle.
+// Re-checks a saved reproducer (.fir + stimulus) through the oracle; a
+// codegen leg is checked in both the single-unit and the two-shard layout.
 CaseResult replayCase(const std::string& fir, const Stimulus& stim,
                       const FuzzConfig& config, std::FILE* log);
 

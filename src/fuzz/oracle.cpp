@@ -258,12 +258,12 @@ std::string buildCodegenHarness(const sim::SimIR& ir, const Stimulus& stim,
   }
   h += "  }\n";
   h += "  std::printf(\"~S %d %d\\n\", sim.stopped_ ? 1 : 0, sim.exit_code_);\n";
-  for (const sim::MemInfo& m : ir.mems)
+  for (size_t m = 0; m < ir.mems.size(); m++)
     h += strfmt(
         "  for (unsigned long long a = 0; a < %lluull; a++)\n"
-        "    std::printf(\"~M %s %%llu %%llx\\n\", a, (unsigned long long)sim.mem_%s[a]);\n",
-        static_cast<unsigned long long>(m.depth), m.name.c_str(),
-        sanitizeIdent(m.name).c_str());
+        "    std::printf(\"~M %s %%llu %%llx\\n\", a, (unsigned long long)sim.%s[a]);\n",
+        static_cast<unsigned long long>(ir.mems[m].depth), ir.mems[m].name.c_str(),
+        codegen::memArrayName(ir, m).c_str());
   h += "  return 0;\n}\n";
   return h;
 }
@@ -291,13 +291,16 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
   const sim::SimIR& irOpt = optDesign->ir;
 
   bool wantCodegen = wants(EngineKind::Codegen);
-  std::string code;
+  codegen::ShardedCpp code;  // single unit: units[0] only, no header
   core::ScheduleOptions so;
   if (wantCodegen) {
     try {
       core::CondPartSchedule sched = core::buildSchedule(core::Netlist::build(irOpt), so);
       codegen::CodegenOptions co;
-      code = codegen::emitCpp(irOpt, &sched, co);
+      if (opts.codegenShards >= 2)
+        code = codegen::emitCppSharded(irOpt, &sched, co, opts.codegenShards, "sim");
+      else
+        code.units = {codegen::emitCpp(irOpt, &sched, co)};
     } catch (const codegen::CodegenError& e) {
       wantCodegen = false;
       res.codegenSkipped = true;
@@ -357,32 +360,43 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
   // ---- Out-of-process codegen comparison ----
   support::TempDir dir("essent_fuzz_XXXXXX");
   if (opts.keepCompiledArtifacts) dir.keep();
-  std::string srcPath = dir.file("sim.cpp");
-  {
-    std::ofstream f(srcPath);
-    std::string harness = buildCodegenHarness(irOpt, stim, trace.signals);
-    if (opts.injectHangForTest) {
-      // Wedge the simulator before it produces any output; only the
-      // watchdog can get the oracle past this.
-      size_t brace = harness.find('{');
-      if (brace != std::string::npos) harness.insert(brace + 1, "\n  for (;;) {}\n");
-    }
-    f << code << harness;
+  // A failure keeps the artifacts for debugging, unless a test injected it.
+  auto artifacts = [&]() -> std::string {
+    if (opts.injectHangForTest) return "removed: the hang was injected";
+    return "kept at " + dir.keep();
+  };
+  std::string harness = buildCodegenHarness(irOpt, stim, trace.signals);
+  if (opts.injectHangForTest) {
+    // Wedge the simulator before it produces any output; only the
+    // watchdog can get the oracle past this.
+    size_t brace = harness.find('{');
+    if (brace != std::string::npos) harness.insert(brace + 1, "\n  for (;;) {}\n");
+  }
+  // Single unit: sim.cpp is the simulator plus the harness. Sharded: the
+  // harness includes the header from main.cpp, next to the units.
+  std::string sources;
+  auto writeSource = [&](const std::string& name, const std::string& text) {
+    std::ofstream(dir.file(name)) << text;
+    sources += " " + support::shellQuote(dir.file(name));
+  };
+  if (code.header.empty()) {
+    writeSource("sim.cpp", code.units[0] + harness);
+  } else {
+    std::ofstream(dir.file(code.headerName)) << code.header;
+    writeSource("main.cpp", "#include \"" + code.headerName + "\"\n" + harness);
+    for (size_t k = 0; k < code.units.size(); k++) writeSource(code.unitNames[k], code.units[k]);
   }
   support::RunOptions runOpts;
   runOpts.timeoutMs = opts.subprocessTimeoutMs;
   std::string binPath = dir.file("sim");
-  support::ExecResult cc = support::runShell(opts.compilerCmd + " -o " +
-                                                 support::shellQuote(binPath) + " " +
-                                                 support::shellQuote(srcPath),
-                                             runOpts);
+  support::ExecResult cc = support::runShell(
+      opts.compilerCmd + " -o " + support::shellQuote(binPath) + sources, runOpts);
   if (!cc.ok()) {
-    dir.keep();
     Divergence d;
     d.kind = cc.timedOut ? Divergence::Kind::Timeout : Divergence::Kind::CompileFailure;
     d.engineA = "full";
     d.engineB = "codegen";
-    d.detail = strfmt("%s (source kept at %s)", cc.describe().c_str(), srcPath.c_str());
+    d.detail = strfmt("%s (sources %s)", cc.describe().c_str(), artifacts().c_str());
     res.divergence = d;
     return res;
   }
@@ -391,13 +405,12 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
                                                   support::shellQuote(outPath),
                                               runOpts);
   if (!run.ran || !run.exited || run.exitCode != 0 || run.timedOut) {
-    dir.keep();
     Divergence d;
     d.kind = run.timedOut ? Divergence::Kind::Timeout : Divergence::Kind::EngineException;
     d.engineA = "full";
     d.engineB = "codegen";
-    d.detail = strfmt("compiled simulator %s (artifacts kept at %s)",
-                      run.describe().c_str(), dir.path().c_str());
+    d.detail = strfmt("compiled simulator %s (artifacts %s)", run.describe().c_str(),
+                      artifacts().c_str());
     res.divergence = d;
     return res;
   }

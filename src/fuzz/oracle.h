@@ -10,9 +10,10 @@
 //   lane    — LaneBroadcastEngine: the SIMD instance-parallel LaneEngine
 //             with the same stimulus broadcast to every lane (lane 0 is
 //             compared; all lanes must agree by construction);
-//   codegen — the compiled simulator emitted by codegen::emitCpp, built
-//             with the host toolchain and compared through a trace protocol
-//             over its stdout.
+//   codegen — the compiled simulator emitted by codegen::emitCpp (or, with
+//             codegenShards >= 2, codegen::emitCppSharded), built with the
+//             host toolchain and compared through a trace protocol over its
+//             stdout.
 //
 // Compared every cycle: every named signal (output/register/node) present
 // in all participating IRs, plus stop status. Compared at the end: printf
@@ -69,6 +70,10 @@ struct OracleOptions {
   // Host compiler for the codegen path; -O1 keeps fuzz turnaround fast
   // while still letting the optimizer exploit any UB in the emitted code.
   std::string compilerCmd = "c++ -std=c++20 -O1";
+  // Layout of the codegen leg: 1 compiles emitCpp's single unit; N >= 2
+  // compiles emitCppSharded's header and N units together, the layout the
+  // compiled flow ships.
+  uint32_t codegenShards = 1;
   bool keepCompiledArtifacts = false;  // keep the temp dir for debugging
   // Wall-clock watchdog for each codegen subprocess (compile, then run);
   // 0 disables. A killed subprocess surfaces as Divergence::Kind::Timeout,
@@ -76,7 +81,8 @@ struct OracleOptions {
   // shrink attempt.
   int64_t subprocessTimeoutMs = 0;
   // Test hook: prepend an infinite loop to the compiled harness's main(),
-  // proving the watchdog path end to end.
+  // proving the watchdog path end to end. The artifacts of this injected
+  // hang are removed, where a real failure keeps them for debugging.
   bool injectHangForTest = false;
 };
 

@@ -162,6 +162,19 @@ circuit W :
   EXPECT_NE(wide.output.find("o = 0xd (matches interpreter)"), std::string::npos) << wide.output;
 }
 
+// Memory b of instance x and top-level memories x_b and x_b_1 all sanitize
+// toward mem_x_b...: each gets its own array, so the host compile succeeds
+// and every output matches the interpreter.
+TEST(Cli, CompileRunKeepsCollidingMemoryNamesApart) {
+  const std::string fir = std::string(FUZZ_CORPUS_DIR) + "/corner_mem_name_collision.fir";
+  auto res = runCli("--compile-run 9 --poke a=0xc5 " + fir);
+  EXPECT_EQ(res.exitCode, 0) << res.output;
+  EXPECT_NE(res.output.find("outputs match the interpreter"), std::string::npos) << res.output;
+  auto emitted = runCli("--emit-cpp " + fir);
+  for (const char* arr : {"mem_x_b[4];", "mem_x_b_1[4];", "mem_x_b_2[4];"})
+    EXPECT_NE(emitted.output.find(arr), std::string::npos) << arr << "\n" << emitted.output;
+}
+
 TEST(Cli, EngineLongAliasesAccepted) {
   std::string fir = writeFir(kCounterFir);
   for (const char* engine : {"essent-ccss", "full-cycle", "event-driven"}) {

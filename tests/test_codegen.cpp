@@ -9,10 +9,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "codegen/emitter.h"
 #include "core/activity_engine.h"
+#include "core/partitioner.h"
 #include "designs/blocks.h"
 #include "designs/gcd.h"
 #include "sim/compile.h"
@@ -134,33 +137,220 @@ circuit C :
   }
 }
 
+// The text of the emitted struct, from its opening line to its closing brace.
+std::string structBody(const std::string& code) {
+  const size_t open = code.find("struct Simulator {");
+  return code.substr(open, code.find("\n};\n", open) - open);
+}
+
+// Signal locals declared in `bodies` (function bodies indented by at least
+// `minIndent`): `uint64_t <name> = ...;` or `uint64_t <name>;`. Emitter
+// scratch names (old0_, prev_, ...) end in '_' and are skipped.
+std::vector<std::string> signalLocals(const std::string& bodies, size_t minIndent) {
+  std::vector<std::string> names;
+  std::istringstream lines(bodies);
+  for (std::string line; std::getline(lines, line);) {
+    const size_t ind = line.find_first_not_of(' ');
+    if (ind == std::string::npos || ind < minIndent || line.compare(ind, 9, "uint64_t ") != 0)
+      continue;
+    const size_t from = ind + 9, to = line.find_first_of(" ;", from);
+    const std::string name = line.substr(from, to - from);
+    if (name.back() != '_') names.push_back(name);
+  }
+  return names;
+}
+
 // No member carries a default initializer: in the struct body (two-space
 // indent; function bodies are indented further) every data member
-// declaration ends at its name.
+// declaration ends at its name. Every live signal is exactly one of a
+// member (the declarations with a width comment) or a local declared once
+// in a function body.
 TEST(Codegen, NoDefaultMemberInitializers) {
   SimIR ir = sim::buildFromFirrtl(designs::gatedBanksFirrtl(4, 8));
   CondPartSchedule sched = makeSchedule(ir);
+  size_t live = 0;
+  for (const auto& sig : ir.signals) live += sig.kind != sim::SigKind::Dead;
   for (bool ccss : {false, true}) {
     SCOPED_TRACE(ccss ? "ccss" : "baseline");
     CodegenOptions opts;
     opts.ccss = ccss;
     const CondPartSchedule* sp = ccss ? &sched : nullptr;
-    for (const std::string& text :
-         {emitCpp(ir, sp, opts), emitCppSharded(ir, sp, opts, 2, "sim").header}) {
-      std::istringstream lines(text.substr(text.find("struct Simulator {")));
-      size_t members = 0, live = 0;
-      for (const auto& sig : ir.signals) live += sig.kind != sim::SigKind::Dead;
+    const std::string single = emitCpp(ir, sp, opts);
+    const ShardedCpp sh = emitCppSharded(ir, sp, opts, 2, "sim");
+    std::string units;
+    for (const auto& u : sh.units) units += u;
+    // (struct text, function bodies, their minimum indent)
+    for (const auto& [text, bodies, indent] :
+         {std::tuple{single, single, size_t{4}}, std::tuple{sh.header, units, size_t{2}}}) {
+      std::istringstream lines(structBody(text));
+      std::set<std::string> members;
       for (std::string line; std::getline(lines, line);) {
         if (line.rfind("  uint64_t ", 0) != 0 && line.rfind("  bool ", 0) != 0 &&
             line.rfind("  int ", 0) != 0)
           continue;
-        members++;
         EXPECT_EQ(line.find('='), std::string::npos) << line;
         EXPECT_EQ(line.find('{'), std::string::npos) << line;
+        if (line.find("// width") != std::string::npos)
+          members.insert(line.substr(11, line.find(';') - 11));
       }
-      EXPECT_GE(members, live);
+      std::set<std::string> locals;
+      for (const std::string& n : signalLocals(bodies, indent)) {
+        EXPECT_TRUE(locals.insert(n).second) << n << " declared twice";
+        EXPECT_EQ(members.count(n), 0u) << n << " is both a member and a local";
+      }
+      EXPECT_GT(locals.size(), 0u);
+      EXPECT_EQ(members.size(), live - locals.size());
     }
   }
+}
+
+// The text of the work function whose definition contains `head` (e.g.
+// "part_3_() {"), up to the next function definition.
+std::string functionBody(const std::string& code, const std::string& head) {
+  const size_t at = code.find(head);
+  if (at == std::string::npos) return "";
+  const size_t next = std::min(code.find("\n  void ", at), code.find("\nvoid ", at));
+  return code.substr(at, next == std::string::npos ? std::string::npos : next - at);
+}
+
+bool isMember(const std::string& code, const std::string& name) {
+  return structBody(code).find("\n  uint64_t " + name + ";") != std::string::npos;
+}
+
+bool declaresLocal(const std::string& body, const std::string& name) {
+  return body.find("uint64_t " + name + " = ") != std::string::npos ||
+         body.find("uint64_t " + name + ";") != std::string::npos;
+}
+
+// The member-or-local rule: an anonymous temporary defined and read by one
+// work function is a local there; one that another partition, a deferred
+// register, a print or a combinational-loop supernode reads stays a member.
+// Both layouts, both modes.
+TEST(Codegen, PartitionLocalTemporariesAreNotMembers) {
+  SimIR ir = sim::buildFromFirrtl(R"(
+circuit L :
+  module L :
+    input clock : Clock
+    input reset : UInt<1>
+    input a : UInt<8>
+    input b : UInt<8>
+    input c : UInt<16>
+    input en : UInt<1>
+    output o : UInt<17>
+    output q : UInt<8>
+    output x : UInt<8>
+    reg r : UInt<8>, clock
+    r <= xor(r, a)
+    q <= r
+    x <= xor(r, a)
+    o <= add(mul(a, b), c)
+    printf(clock, en, "s=%d\n", add(a, b))
+)");
+  int32_t mulT = -1;
+  for (const sim::Op& op : ir.ops)
+    if (op.code == sim::OpCode::Mul) mulT = op.dest;
+  ASSERT_GE(mulT, 0);
+  ASSERT_EQ(ir.signals[static_cast<size_t>(mulT)].kind, sim::SigKind::Temp);
+  int32_t printT = -1;
+  for (const auto& p : ir.prints) printT = p.args.at(0);
+  ASSERT_EQ(ir.signals[static_cast<size_t>(printT)].kind, sim::SigKind::Temp);
+  const std::string mulName = memberName(ir, mulT), printName = memberName(ir, printT);
+  auto partOf = [](const CondPartSchedule& s, int32_t op) {
+    for (size_t pos = 0; pos < s.parts.size(); pos++)
+      for (int32_t o : s.parts[pos].ops)
+        if (o == op) return pos;
+    return s.parts.size();
+  };
+  const int32_t mulOp = ir.signals[static_cast<size_t>(mulT)].defOp;
+  int32_t mulReader = -1;
+  for (size_t i = 0; i < ir.ops.size(); i++)
+    if (ir.ops[i].args[0] == mulT || ir.ops[i].args[1] == mulT)
+      mulReader = static_cast<int32_t>(i);
+  const Netlist nl = Netlist::build(ir);
+
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single unit");
+    auto emit = [&](const CondPartSchedule* sp, bool ccss) {
+      CodegenOptions opts;
+      opts.ccss = ccss;
+      if (!sharded) return emitCpp(ir, sp, opts);
+      // A single shard keeps every baseline op in one chunk function.
+      const ShardedCpp sh = emitCppSharded(ir, sp, opts, ccss ? 2 : 1, "sim");
+      std::string all = sh.header;
+      for (const auto& u : sh.units) all += u;
+      return all;
+    };
+
+    // CCSS, default partitioning: mul feeds only the add in its partition.
+    CondPartSchedule sched = makeSchedule(ir);
+    const size_t pos = partOf(sched, mulOp);
+    ASSERT_LT(pos, sched.parts.size());
+    std::string code = emit(&sched, true);
+    EXPECT_FALSE(isMember(code, mulName)) << code;
+    EXPECT_TRUE(declaresLocal(functionBody(code, strfmt("part_%zu_() {", pos)), mulName)) << code;
+    EXPECT_TRUE(isMember(code, printName)) << code;  // read by a print
+
+    // Baseline: eval() (single unit) or chunk_0_() owns every op.
+    code = emit(nullptr, false);
+    EXPECT_FALSE(isMember(code, mulName)) << code;
+    EXPECT_TRUE(declaresLocal(functionBody(code, sharded ? "chunk_0_() {" : "eval() {"), mulName))
+        << code;
+    EXPECT_TRUE(isMember(code, printName)) << code;
+
+    // One op per partition: the add reading mul is another partition.
+    CondPartSchedule fine = core::buildScheduleFrom(nl, core::finePartitioning(nl));
+    ASSERT_NE(partOf(fine, mulOp), partOf(fine, mulReader));
+    code = emit(&fine, true);
+    EXPECT_TRUE(isMember(code, mulName)) << code;
+
+    // No state elision: the register's next value (shared with output x)
+    // is read by the deferred write in eval()/finish_() as well as by the
+    // partition computing it.
+    CondPartSchedule deferred =
+        core::buildScheduleFrom(nl, core::partitionNetlist(nl), /*stateElision=*/false);
+    ASSERT_EQ(deferred.deferredRegs.size(), 1u);
+    const int32_t next = ir.regs[0].next;
+    ASSERT_EQ(ir.signals[static_cast<size_t>(next)].kind, sim::SigKind::Temp);
+    const int32_t xDef = ir.signals[static_cast<size_t>(ir.findSignal("x"))].defOp;
+    ASSERT_EQ(ir.ops[static_cast<size_t>(xDef)].args[0], next);
+    code = emit(&deferred, true);
+    EXPECT_TRUE(isMember(code, memberName(ir, next))) << code;
+    EXPECT_FALSE(isMember(code, mulName)) << code;
+  }
+
+  // A combinational-loop supernode's temporaries stay members: convergence
+  // compares each against its value from the previous iteration.
+  sim::BuildOptions loops;
+  loops.allowCombLoops = true;
+  SimIR latch = sim::buildFromFirrtl(R"(
+circuit Latch :
+  module Latch :
+    input s : UInt<1>
+    input r : UInt<1>
+    output q : UInt<1>
+    wire qi : UInt<1>
+    wire qbi : UInt<1>
+    qi <= not(or(r, qbi))
+    qbi <= not(or(s, qi))
+    q <= qi
+)",
+                                     loops);
+  ASSERT_TRUE(latch.hasCombLoops());
+  CondPartSchedule latchSched = makeSchedule(latch);
+  size_t superTemps = 0;
+  for (int32_t op : latch.supers.at(0)) {
+    const int32_t d = latch.ops[static_cast<size_t>(op)].dest;
+    if (latch.signals[static_cast<size_t>(d)].kind != sim::SigKind::Temp) continue;
+    superTemps++;
+    for (bool ccss : {false, true}) {
+      CodegenOptions opts;
+      opts.ccss = ccss;
+      const CondPartSchedule* sp = ccss ? &latchSched : nullptr;
+      EXPECT_TRUE(isMember(emitCpp(latch, sp, opts), memberName(latch, d)));
+      EXPECT_TRUE(isMember(emitCppSharded(latch, sp, opts, 2, "sim").header, memberName(latch, d)));
+    }
+  }
+  EXPECT_GT(superTemps, 0u);
 }
 
 // The mask is dropped where the operand widths already bound the result,
@@ -307,8 +497,10 @@ TEST(CodegenRun, ShardedMatchesSingleUnitBothModes) {
 }
 
 // The construction contract: before its first eval(), a fresh Simulator
-// reads every nonzero constant and zero in every other signal, memory row
-// and status field, even when built over garbage-filled storage.
+// reads every nonzero constant and zero in every other signal member,
+// memory row and status field, even when built over garbage-filled
+// storage. The members peeked are every named signal and every constant;
+// other temporaries may be function locals.
 TEST(CodegenRun, FreshSimulatorReadsConstantsAndZeros) {
   SimIR ir = sim::buildFromFirrtl(R"(
 circuit K :
@@ -348,12 +540,16 @@ circuit K :
       "  std::memset(junk, 0xa5, sizeof junk);\n"
       "  const essent_gen::Simulator& f = *::new (static_cast<void*>(junk)) essent_gen::Simulator;\n";
   std::string expected;
-  size_t nonzero = 0;
+  size_t nonzero = 0, named = 0;
   for (size_t s = 0; s < ir.signals.size(); s++) {
     const sim::Signal& sig = ir.signals[s];
     if (sig.kind == sim::SigKind::Dead) continue;
+    const bool constant =
+        sig.defOp >= 0 && ir.ops[static_cast<size_t>(sig.defOp)].code == sim::OpCode::Const;
+    if (sig.kind == sim::SigKind::Temp && !constant) continue;
+    named += sig.kind != sim::SigKind::Temp;
     uint64_t value = 0;
-    if (sig.defOp >= 0 && ir.ops[static_cast<size_t>(sig.defOp)].code == sim::OpCode::Const)
+    if (constant)
       value = ir.constPool[static_cast<size_t>(ir.ops[static_cast<size_t>(sig.defOp)].imm0)].toU64();
     nonzero += value != 0;
     const std::string n = memberName(ir, static_cast<int32_t>(s));
@@ -362,10 +558,12 @@ circuit K :
     expected += strfmt("%s=%llx\n", n.c_str(), static_cast<unsigned long long>(value));
   }
   ASSERT_GE(nonzero, 3u);  // 0x5a, 0xc3, 0xab, -3 (some may fold away)
-  for (const sim::MemInfo& m : ir.mems) {
+  ASSERT_GE(named, 8u);    // reset, a, s, o, p, q, r and the memory ports
+  for (size_t mi = 0; mi < ir.mems.size(); mi++) {
+    const sim::MemInfo& m = ir.mems[mi];
     body += strfmt("  for (unsigned i = 0; i < %llu; i++) std::printf(\"%%llx\\n\", "
-                   "(unsigned long long)f.mem_%s[i]);\n",
-                   static_cast<unsigned long long>(m.depth), sanitizeIdent(m.name).c_str());
+                   "(unsigned long long)f.%s[i]);\n",
+                   static_cast<unsigned long long>(m.depth), memArrayName(ir, mi).c_str());
     for (uint64_t i = 0; i < m.depth; i++) expected += "0\n";
   }
   body += "  std::printf(\"status %llu %d %d\\n\", (unsigned long long)f.cycles_, (int)f.stopped_, "

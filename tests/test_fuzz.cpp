@@ -363,7 +363,8 @@ TEST(Campaign, ReplaySingleCaseMatchesCampaignVerdict) {
 
 TEST(Corpus, CornerCircuitsAgreeAcrossAllEngines) {
   for (const char* name : {"corner_zero_width", "corner_mux_deep", "corner_mem_rw",
-                           "corner_mem_two_writers", "corner_emitter_names"}) {
+                           "corner_mem_two_writers", "corner_emitter_names",
+                           "corner_mem_name_collision"}) {
     SCOPED_TRACE(name);
     std::string fir = readFile(std::string(FUZZ_CORPUS_DIR) + "/" + name + ".fir");
     Stimulus stim =

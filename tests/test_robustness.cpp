@@ -251,7 +251,17 @@ TEST(Mutator, SmallCampaignIsCrashFreeAndDeterministic) {
 
 // --- oracle watchdog ---
 
+// The hang is the test's own doing, so its scratch directory must not be
+// kept as a failure's would be: a private TMPDIR is empty afterwards.
 TEST(OracleWatchdog, InjectedHangIsKilledAndReportedAsTimeout) {
+  namespace fs = std::filesystem;
+  char scratchT[] = "/tmp/essent_watchdog_XXXXXX";
+  ASSERT_NE(mkdtemp(scratchT), nullptr);
+  const std::string scratch = scratchT;
+  const char* oldTmp = std::getenv("TMPDIR");
+  const std::string savedTmp = oldTmp ? oldTmp : "";
+  setenv("TMPDIR", scratch.c_str(), 1);
+
   sim::SimIR ir = sim::buildFromFirrtl(kCounterFir);
   fuzz::Stimulus stim = fuzz::randomStimulus(ir, 1, 5, 0.5);
   fuzz::OracleOptions oo;
@@ -260,9 +270,18 @@ TEST(OracleWatchdog, InjectedHangIsKilledAndReportedAsTimeout) {
   oo.injectHangForTest = true;
   int64_t t0 = nowMs();
   fuzz::OracleResult res = fuzz::runOracle(kCounterFir, stim, oo);
+
+  if (oldTmp) setenv("TMPDIR", savedTmp.c_str(), 1);
+  else unsetenv("TMPDIR");
+  std::vector<std::string> left;
+  for (const fs::directory_entry& ent : fs::directory_iterator(scratch))
+    left.push_back(ent.path().filename().string());
+  fs::remove_all(scratch);
+
   ASSERT_TRUE(res.divergence.has_value());
   EXPECT_EQ(res.divergence->kind, fuzz::Divergence::Kind::Timeout);
   EXPECT_LT(nowMs() - t0, 60000);
+  EXPECT_EQ(left, std::vector<std::string>{}) << "left behind in the private TMPDIR";
 }
 
 // --- essentc CLI exit-code contract ---
