@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
 
   sim::SimIR ir = sim::buildFromFirrtl(designs::gcdFirrtl(16));
   codegen::CodegenOptions opts;
-  opts.className = "GcdSim";
   opts.ccss = !baseline;
 
   std::string code;

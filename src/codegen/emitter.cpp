@@ -1,7 +1,7 @@
 #include "codegen/emitter.h"
 
 #include <algorithm>
-
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,6 +17,12 @@ using sim::SigKind;
 using sim::SimIR;
 
 namespace {
+
+// The emitted simulator struct; every harness spells essent_gen::Simulator.
+constexpr const char* kClass = "Simulator";
+// Opens the header; a one-file emission drops it (GCC warns about it in a
+// main file).
+constexpr const char* kPragmaOnce = "#pragma once\n";
 
 // Each memory's array is mem_<sanitized name>. Memories whose names sanitize
 // alike (memory b of instance x and a top-level x_b) keep the first that
@@ -44,9 +50,9 @@ std::vector<std::string> buildMemNames(const SimIR& ir) {
 // reach by construction. Reserved here are the rest: the public names a
 // harness spells (eval, the class, each memory's array), C++ keywords, and
 // uint64_t, which a member of that name would hide inside the struct.
-std::unordered_set<std::string> reservedNames(const SimIR& ir, const std::string& className) {
+std::unordered_set<std::string> reservedNames(const SimIR& ir) {
   std::unordered_set<std::string> used = {
-      "eval", className, "uint64_t",
+      "eval", kClass, "uint64_t",
       "alignas", "alignof", "and", "and_eq", "asm", "auto", "bitand", "bitor", "bool", "break",
       "case", "catch", "char", "char8_t", "char16_t", "char32_t", "class", "co_await",
       "co_return", "co_yield", "compl", "concept", "const", "consteval", "constexpr",
@@ -63,9 +69,9 @@ std::unordered_set<std::string> reservedNames(const SimIR& ir, const std::string
   return used;
 }
 
-std::vector<std::string> buildNames(const SimIR& ir, const std::string& className) {
+std::vector<std::string> buildNames(const SimIR& ir) {
   std::vector<std::string> names(ir.signals.size());
-  std::unordered_set<std::string> used = reservedNames(ir, className);
+  std::unordered_set<std::string> used = reservedNames(ir);
   for (size_t s = 0; s < ir.signals.size(); s++) {
     const auto& sig = ir.signals[s];
     std::string base = sig.name.empty() ? strfmt("t%zu", s) : sanitizeIdent(sig.name);
@@ -88,7 +94,7 @@ std::string maskExpr(const std::string& e, uint32_t bits, uint32_t width) {
 class Emitter {
  public:
   Emitter(const SimIR& ir, const CondPartSchedule* sched, const CodegenOptions& opts)
-      : ir_(ir), sched_(sched), opts_(opts), names_(buildNames(ir, opts.className)),
+      : ir_(ir), sched_(sched), opts_(opts), names_(buildNames(ir)),
         memNames_(buildMemNames(ir)) {
     for (const auto& sig : ir.signals) {
       if (sig.kind != SigKind::Dead && sig.width > 64)
@@ -100,20 +106,9 @@ class Emitter {
     computeUseCounts();
   }
 
-  std::string run() {
-    computeLocals(opts_.ccss ? partitionOfOp() : std::vector<int32_t>(ir_.ops.size(), 0));
-    emitPreamble();
-    emitMembers();
-    if (opts_.ccss) emitPartitionFunctions();
-    emitEval();
-    closeStruct();
-    return out_;
-  }
-
   ShardedCpp runSharded(uint32_t shards, const std::string& base) {
     ShardedCpp sh;
     sh.headerName = base + ".h";
-    const std::string& cn = opts_.className;
 
     // Work-function definitions, in schedule order: one per partition
     // (CCSS) or one per contiguous op slice (baseline).
@@ -123,8 +118,7 @@ class Emitter {
       for (size_t pos = 0; pos < sched_->parts.size(); pos++) {
         decls.push_back(strfmt("  void part_%zu_();\n", pos));
         out_.clear();
-        emitPartitionFunction(pos, strfmt("void %s::part_%zu_()", cn.c_str(), pos), "  ",
-                              "}\n\n");
+        emitPartitionFunction(pos);
         defs.push_back(std::move(out_));
       }
     } else {
@@ -148,7 +142,7 @@ class Emitter {
       for (size_t k = 0; k < chunks.size(); k++) {
         decls.push_back(strfmt("  void chunk_%zu_();\n", k));
         out_.clear();
-        out_ += strfmt("void %s::chunk_%zu_() {\n", cn.c_str(), k);
+        out_ += strfmt("void %s::chunk_%zu_() {\n", kClass, k);
         emitOpSeq(chunks[k], "  ");
         out_ += "}\n\n";
         defs.push_back(std::move(out_));
@@ -157,7 +151,7 @@ class Emitter {
 
     // finish_(): side effects + phase-2 state updates + cycle count.
     out_.clear();
-    out_ += strfmt("void %s::finish_() {\n", cn.c_str());
+    out_ += strfmt("void %s::finish_() {\n", kClass);
     emitPrintsAndStops("  ");
     if (opts_.ccss) {
       for (const auto& rw : sched_->deferredRegs) emitRegWrite(rw.regIdx, &rw.wakeParts, "  ");
@@ -175,7 +169,8 @@ class Emitter {
 
     // Contiguous assignment of work functions to units, balanced by
     // emitted byte count (schedule order is preserved by the call sites,
-    // so placement only affects compile-time balance).
+    // so placement only affects compile-time balance). Every unit takes at
+    // least one function and leaves one for each unit after it.
     const uint32_t S = std::max<uint32_t>(
         1, std::min<uint32_t>(shards, static_cast<uint32_t>(std::max<size_t>(1, defs.size()))));
     size_t totalBytes = 0;
@@ -185,15 +180,17 @@ class Emitter {
       size_t i = 0, acc = 0;
       for (uint32_t k = 0; k < S; k++) {
         range[k].first = i;
-        const size_t goal = totalBytes * (k + 1) / S;
-        while (i < defs.size() && (acc < goal || k + 1 == S)) acc += defs[i++].size();
+        const size_t goal = totalBytes * (k + 1) / S, laterUnits = S - 1 - k;
+        while (i < defs.size() && (k + 1 == S || i == range[k].first ||
+                                   (acc < goal && defs.size() - i > laterUnits)))
+          acc += defs[i++].size();
         range[k].second = i;
       }
     }
 
     // eval(): the only cross-unit glue; lives in unit 0.
     out_.clear();
-    out_ += strfmt("void %s::eval() {\n", cn.c_str());
+    out_ += strfmt("void %s::eval() {\n", kClass);
     if (opts_.ccss) {
       out_ += "  // 1. external input change detection\n";
       emitInputSweep("  ");
@@ -217,7 +214,7 @@ class Emitter {
       for (uint32_t k = 0; k < S; k++) out_ += strfmt("  void sweepChunk_%u_();\n", k);
     out_ += "  void finish_();\n  void eval();\n";
     closeStruct();
-    sh.header = "#pragma once\n" + out_;
+    sh.header = kPragmaOnce + out_;
 
     for (uint32_t k = 0; k < S; k++) {
       sh.unitNames.push_back(strfmt("%s_%u.cpp", base.c_str(), k));
@@ -227,7 +224,7 @@ class Emitter {
           k, S, base.c_str());
       for (size_t i = range[k].first; i < range[k].second; i++) u += defs[i];
       if (opts_.ccss) {
-        u += strfmt("void %s::sweepChunk_%u_() {\n", cn.c_str(), k);
+        u += strfmt("void %s::sweepChunk_%u_() {\n", kClass, k);
         for (size_t i = range[k].first; i < range[k].second; i++)
           u += strfmt("  if (act_[%zu]) part_%zu_();\n", i, i);
         u += "}\n\n";
@@ -267,7 +264,7 @@ class Emitter {
   // persist in the struct: every member slows the host compiler's parse of
   // the class (name lookup grows with member count) and its alias analysis.
   // So an anonymous temporary whose one defining work function (`fnOfOp`:
-  // partition, chunk or eval) is also its only reader becomes a local
+  // partition or chunk) is also its only reader becomes a local
   // there. It stays a member when it is a partition output, is read by
   // finish-side code (deferred state writes, prints, stops, asserts) or a
   // memory reader port, holds a constant (stored once by the constructor),
@@ -395,16 +392,15 @@ class Emitter {
         "static inline void printBin_(uint64_t v, int w) {\n"
         "  for (int i = w - 1; i >= 0; i--) std::putchar(((v >> i) & 1) ? '1' : '0');\n"
         "}\n\n";
-    out_ += "struct " + opts_.className + " {\n";
+    out_ += strfmt("struct %s {\n", kClass);
   }
 
   // The constructor's memset is only valid on plain data.
   void closeStruct() {
-    const char* cn = opts_.className.c_str();
     out_ += strfmt("};\nstatic_assert(std::is_trivially_copyable<%s>::value &&\n"
                    "              std::is_standard_layout<%s>::value);\n\n"
                    "}  // namespace essent_gen\n",
-                   cn, cn);
+                   kClass, kClass);
   }
 
   // Members carry no initializers: a default member initializer per signal
@@ -429,7 +425,7 @@ class Emitter {
       out_ += "  bool first_cycle_;\n";
     }
     // Constants are stored once here and never re-evaluated.
-    out_ += strfmt("\n  %s() {\n", opts_.className.c_str());
+    out_ += strfmt("\n  %s() {\n", kClass);
     out_ += "    std::memset(static_cast<void*>(this), 0, sizeof(*this));\n";
     for (const auto& op : ir_.ops) {
       if (op.code != OpCode::Const) continue;
@@ -836,13 +832,11 @@ class Emitter {
     }
   }
 
-  // One partition function; `sig` is the full signature (in-class or
-  // out-of-line qualified), `ind` the body indentation, `close` the line
-  // ending the definition.
-  void emitPartitionFunction(size_t pos, const std::string& sig, const std::string& ind,
-                             const std::string& close) {
+  // The out-of-line definition of partition `pos`'s function.
+  void emitPartitionFunction(size_t pos) {
     const auto& part = sched_->parts[pos];
-    out_ += sig + " {\n";
+    const std::string ind = "  ";
+    out_ += strfmt("void %s::part_%zu_() {\n", kClass, pos);
     out_ += ind + strfmt("act_[%zu] = false;\n", pos);
     for (size_t oi = 0; oi < part.outputs.size(); oi++)
       out_ += ind + strfmt("const uint64_t old%zu_ = %s;\n", oi,
@@ -859,13 +853,7 @@ class Emitter {
       for (int32_t c : o.consumers) out_ += ind + strfmt("  act_[%d] |= ch%zu_;\n", c, oi);
       out_ += ind + "}\n";
     }
-    out_ += close;
-  }
-
-  void emitPartitionFunctions() {
-    for (size_t pos = 0; pos < sched_->parts.size(); pos++)
-      emitPartitionFunction(pos, strfmt("  void part_%zu_()", pos), "    ", "  }\n");
-    out_ += "\n";
+    out_ += "}\n\n";
   }
 
   void emitInputSweep(const std::string& ind) {
@@ -878,46 +866,17 @@ class Emitter {
       out_ += ind + "}\n";
     }
   }
-
-  void emitEval() {
-    out_ += "  // Advances one clock cycle (combinational settle + side effects +\n";
-    out_ += "  // state update).\n";
-    out_ += "  void eval() {\n";
-    if (!opts_.ccss) {
-      std::vector<int32_t> all(ir_.ops.size());
-      for (size_t i = 0; i < all.size(); i++) all[i] = static_cast<int32_t>(i);
-      emitOpSeq(all, "    ");
-      emitPrintsAndStops("    ");
-      for (size_t r = 0; r < ir_.regs.size(); r++)
-        emitRegWrite(static_cast<int32_t>(r), nullptr, "    ");
-      for (size_t m = 0; m < ir_.mems.size(); m++)
-        for (size_t w = 0; w < ir_.mems[m].writers.size(); w++)
-          emitMemWrite(static_cast<int32_t>(m), static_cast<int32_t>(w), nullptr, "    ");
-    } else {
-      out_ += "    // 1. external input change detection\n";
-      emitInputSweep("    ");
-      out_ += "    first_cycle_ = false;\n";
-      out_ += "    // 2. singular static partition sweep\n";
-      for (size_t pos = 0; pos < sched_->parts.size(); pos++)
-        out_ += strfmt("    if (act_[%zu]) part_%zu_();\n", pos, pos);
-      out_ += "    // 3. side effects\n";
-      emitPrintsAndStops("    ");
-      out_ += "    // 4. phase 2: non-elided state elements\n";
-      for (const auto& rw : sched_->deferredRegs) emitRegWrite(rw.regIdx, &rw.wakeParts, "    ");
-      for (const auto& mw : sched_->deferredMemWrites)
-        emitMemWrite(mw.memIdx, mw.writerIdx, &mw.wakeParts, "    ");
-    }
-    out_ += "    cycles_++;\n  }\n";
-  }
 };
 
 }  // namespace
 
 std::string emitCpp(const SimIR& ir, const CondPartSchedule* schedule,
                     const CodegenOptions& opts) {
-  obs::ScopedPhaseTimer phaseTimer("codegen");
-  Emitter e(ir, schedule, opts);
-  return e.run();
+  const ShardedCpp sh = emitCppSharded(ir, schedule, opts, 1, "sim");
+  const std::string include = "#include \"" + sh.headerName + "\"\n";
+  const std::string& unit = sh.units[0];
+  return sh.header.substr(std::strlen(kPragmaOnce)) +
+         unit.substr(unit.find(include) + include.size());
 }
 
 ShardedCpp emitCppSharded(const SimIR& ir, const CondPartSchedule* schedule,
@@ -928,8 +887,8 @@ ShardedCpp emitCppSharded(const SimIR& ir, const CondPartSchedule* schedule,
   return e.runSharded(shards, base);
 }
 
-std::string memberName(const SimIR& ir, int32_t sig, const std::string& className) {
-  return buildNames(ir, className)[static_cast<size_t>(sig)];
+std::string memberName(const SimIR& ir, int32_t sig) {
+  return buildNames(ir)[static_cast<size_t>(sig)];
 }
 
 std::string memArrayName(const SimIR& ir, size_t memIdx) { return buildMemNames(ir)[memIdx]; }

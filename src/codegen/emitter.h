@@ -1,15 +1,19 @@
 // C++ code generation backend: the analogue of ESSENT's output. Given a
-// SimIR (and, for CCSS mode, a CondPartSchedule), emits a self-contained
-// C++17 translation unit defining a `struct <className>` whose public
-// members are what must persist between calls: every named signal (inputs,
-// outputs, registers, named nodes), backdoor-accessible memories, and the
-// anonymous temporaries that are constants, partition outputs, shared
-// between work functions or read by end-of-cycle code; plus an eval()
-// advancing one clock cycle. Every other temporary is a local of the one
-// partition function (CCSS) or evaluation chunk (baseline) that both
-// defines and reads it. The struct is plain data: its constructor
+// SimIR (and, for CCSS mode, a CondPartSchedule), emits C++17 defining
+// `struct essent_gen::Simulator`, whose public members are what must
+// persist between calls: every named signal (inputs, outputs, registers,
+// named nodes), backdoor-accessible memories, and the anonymous
+// temporaries that are constants, partition outputs, shared between work
+// functions or read by end-of-cycle code; plus an eval() advancing one
+// clock cycle. Every other temporary is a local of the one partition
+// function (CCSS) or evaluation chunk (baseline) that both defines and
+// reads it. The struct is plain data: its constructor
 // zero-fills the object and then stores only the nonzero constants (and,
 // in CCSS mode, the all-active start state).
+//
+// There is one layout: a header holding the struct, which declares every
+// work function, and N units defining them out of line (emitCppSharded).
+// emitCpp is its one-file packaging with N = 1.
 //
 // Two modes, mirroring the paper's evaluation configurations:
 //  * baseline  — straight-line full-cycle evaluation (static schedule, no
@@ -24,7 +28,7 @@
 // cold code out of the hot instruction working set.
 //
 // Limitation (documented in DESIGN.md): generated code uses plain uint64_t
-// storage, so every signal must be at most 64 bits wide; emitCpp throws
+// storage, so every signal must be at most 64 bits wide; emission throws
 // CodegenError otherwise. The in-process engines have no such limit.
 #pragma once
 
@@ -37,7 +41,6 @@
 namespace essent::codegen {
 
 struct CodegenOptions {
-  std::string className = "Simulator";
   bool ccss = true;         // false = baseline full-cycle
   bool branchHints = true;  // cold-path annotations
   // Conditional evaluation of multiplexor ways (§III-B): ops whose only
@@ -52,18 +55,20 @@ class CodegenError : public std::runtime_error {
   explicit CodegenError(const std::string& m) : std::runtime_error("codegen error: " + m) {}
 };
 
-// `schedule` may be null when opts.ccss is false.
+// The emitted simulator as one self-contained file: the one-shard
+// emission's header without `#pragma once`, followed by its unit's
+// definitions without the `#include` of that header. `schedule` may be
+// null when opts.ccss is false.
 std::string emitCpp(const sim::SimIR& ir, const core::CondPartSchedule* schedule,
                     const CodegenOptions& opts = {});
 
-// Sharded emission for million-node designs, where a single translation
-// unit would stall (or OOM) the host C++ compiler: `header` declares the
-// simulator struct and `units[k]` defines a slice of its evaluation code,
-// so the units compile in parallel and each stays a tractable size.
-// Partition functions (CCSS) / schedule chunks (baseline) are assigned to
-// units in schedule order, balanced by emitted byte count; unit 0 defines
-// eval(). Write `header` as `<base>.h` and unit k as `<base>_<k>.cpp` —
-// every unit includes the header by that name.
+// The emission: `header` declares the simulator struct and `units[k]`
+// defines a slice of its evaluation code, so for large designs the units
+// compile in parallel and each stays a tractable size. Partition functions
+// (CCSS) / schedule chunks (baseline) are assigned to units in schedule
+// order, balanced by emitted byte count, each unit getting at least one;
+// unit 0 defines eval(). Write `header` as `<base>.h` and unit k as
+// `<base>_<k>.cpp` — every unit includes the header by that name.
 struct ShardedCpp {
   std::string headerName;             // "<base>.h"
   std::string header;
@@ -81,9 +86,7 @@ ShardedCpp emitCppSharded(const sim::SimIR& ir, const core::CondPartSchedule* sc
 // collision-free); exposed so harnesses can address generated members.
 // Only named signals (and constants) are guaranteed members: an anonymous
 // temporary may be a function local, with no member to address.
-// `className` is CodegenOptions::className of the emission.
-std::string memberName(const sim::SimIR& ir, int32_t sig,
-                       const std::string& className = "Simulator");
+std::string memberName(const sim::SimIR& ir, int32_t sig);
 
 // The member array holding ir.mems[memIdx]: `mem_<sanitized name>`, with a
 // numeric suffix only when another memory's name sanitizes alike.

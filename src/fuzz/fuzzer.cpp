@@ -91,7 +91,7 @@ CaseResult runFuzzCase(uint64_t caseSeed, const FuzzConfig& config, std::FILE* l
   oo.parThreads = config.parThreads;
   oo.subprocessTimeoutMs = config.subprocessTimeoutMs;
   // Half the codegen-checked cases, by a case-seed bit so --replay matches,
-  // compile the sharded layout the compiled flow ships.
+  // split the emitted simulator across two units instead of one.
   cr.codegenShards = oo.codegenShards = caseSeed % 2 ? 2 : 1;
 
   // Stimulus needs the built IR's input list; build errors are themselves
@@ -148,8 +148,8 @@ CaseResult replayCase(const std::string& fir, const Stimulus& stim,
   oo.engines = config.engines;
   oo.parThreads = config.parThreads;
   oo.subprocessTimeoutMs = config.subprocessTimeoutMs;
-  // A replayed file has no case seed to pick a layout, so the codegen leg
-  // checks both: the single unit, then (if that agreed) two shards.
+  // A replayed file has no case seed to pick a shard count, so the codegen
+  // leg checks both: one unit, then (if that agreed) two.
   OracleResult result = runOracle(fir, stim, oo);
   if (result.ok() && hasKind(oo.engines, EngineKind::Codegen) && !result.codegenSkipped) {
     cr.codegenShards = oo.codegenShards = 2;

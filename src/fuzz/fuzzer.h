@@ -3,8 +3,8 @@
 // directory.
 //
 // Determinism contract: every per-case decision (circuit shape, stimulus,
-// whether the case is wide or includes the compiled engine, and in which
-// shard layout) derives from a single 64-bit case seed, which itself
+// whether the case is wide or includes the compiled engine, and with how
+// many shards) derives from a single 64-bit case seed, which itself
 // derives from (campaign seed, case index). `essent-fuzz --replay
 // <caseSeed>` therefore reproduces any case from any campaign exactly,
 // without re-running the cases before it.
@@ -48,7 +48,7 @@ struct CaseResult {
   bool wide = false;
   bool codegenChecked = false;
   bool codegenSkipped = false;
-  uint32_t codegenShards = 1;      // layout of the codegen leg (OracleOptions)
+  uint32_t codegenShards = 1;      // shard count of the codegen leg (OracleOptions)
   std::string buildError;          // generator produced an unbuildable circuit
   std::optional<Divergence> divergence;
   std::string fir;                 // populated on failure
@@ -83,7 +83,7 @@ CaseResult runFuzzCase(uint64_t caseSeed, const FuzzConfig& config, std::FILE* l
 FuzzSummary runFuzzCampaign(const FuzzConfig& config, std::FILE* log);
 
 // Re-checks a saved reproducer (.fir + stimulus) through the oracle; a
-// codegen leg is checked in both the single-unit and the two-shard layout.
+// codegen leg is checked with one shard and with two.
 CaseResult replayCase(const std::string& fir, const Stimulus& stim,
                       const FuzzConfig& config, std::FILE* log);
 

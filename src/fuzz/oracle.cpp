@@ -291,16 +291,12 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
   const sim::SimIR& irOpt = optDesign->ir;
 
   bool wantCodegen = wants(EngineKind::Codegen);
-  codegen::ShardedCpp code;  // single unit: units[0] only, no header
+  codegen::ShardedCpp code;
   core::ScheduleOptions so;
   if (wantCodegen) {
     try {
       core::CondPartSchedule sched = core::buildSchedule(core::Netlist::build(irOpt), so);
-      codegen::CodegenOptions co;
-      if (opts.codegenShards >= 2)
-        code = codegen::emitCppSharded(irOpt, &sched, co, opts.codegenShards, "sim");
-      else
-        code.units = {codegen::emitCpp(irOpt, &sched, co)};
+      code = codegen::emitCppSharded(irOpt, &sched, {}, opts.codegenShards, "sim");
     } catch (const codegen::CodegenError& e) {
       wantCodegen = false;
       res.codegenSkipped = true;
@@ -372,20 +368,15 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
     size_t brace = harness.find('{');
     if (brace != std::string::npos) harness.insert(brace + 1, "\n  for (;;) {}\n");
   }
-  // Single unit: sim.cpp is the simulator plus the harness. Sharded: the
-  // harness includes the header from main.cpp, next to the units.
+  // The harness includes the header from main.cpp, next to the units.
   std::string sources;
   auto writeSource = [&](const std::string& name, const std::string& text) {
     std::ofstream(dir.file(name)) << text;
     sources += " " + support::shellQuote(dir.file(name));
   };
-  if (code.header.empty()) {
-    writeSource("sim.cpp", code.units[0] + harness);
-  } else {
-    std::ofstream(dir.file(code.headerName)) << code.header;
-    writeSource("main.cpp", "#include \"" + code.headerName + "\"\n" + harness);
-    for (size_t k = 0; k < code.units.size(); k++) writeSource(code.unitNames[k], code.units[k]);
-  }
+  std::ofstream(dir.file(code.headerName)) << code.header;
+  writeSource("main.cpp", "#include \"" + code.headerName + "\"\n" + harness);
+  for (size_t k = 0; k < code.units.size(); k++) writeSource(code.unitNames[k], code.units[k]);
   support::RunOptions runOpts;
   runOpts.timeoutMs = opts.subprocessTimeoutMs;
   std::string binPath = dir.file("sim");

@@ -10,9 +10,9 @@
 //   lane    — LaneBroadcastEngine: the SIMD instance-parallel LaneEngine
 //             with the same stimulus broadcast to every lane (lane 0 is
 //             compared; all lanes must agree by construction);
-//   codegen — the compiled simulator emitted by codegen::emitCpp (or, with
-//             codegenShards >= 2, codegen::emitCppSharded), built with the
-//             host toolchain and compared through a trace protocol over its
+//   codegen — the compiled simulator emitted by codegen::emitCppSharded
+//             (header plus codegenShards units), built with the host
+//             toolchain and compared through a trace protocol over its
 //             stdout.
 //
 // Compared every cycle: every named signal (output/register/node) present
@@ -70,9 +70,8 @@ struct OracleOptions {
   // Host compiler for the codegen path; -O1 keeps fuzz turnaround fast
   // while still letting the optimizer exploit any UB in the emitted code.
   std::string compilerCmd = "c++ -std=c++20 -O1";
-  // Layout of the codegen leg: 1 compiles emitCpp's single unit; N >= 2
-  // compiles emitCppSharded's header and N units together, the layout the
-  // compiled flow ships.
+  // Shard count of the codegen leg: emitCppSharded's header and this many
+  // units (clamped to the work functions) are compiled together.
   uint32_t codegenShards = 1;
   bool keepCompiledArtifacts = false;  // keep the temp dir for debugging
   // Wall-clock watchdog for each codegen subprocess (compile, then run);

@@ -2,46 +2,20 @@
 // subprocess, the way a user runs it).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#ifndef ESSENTC_PATH
-#error "ESSENTC_PATH must be defined by the build"
-#endif
+#include "cli_harness.h"
 
 namespace {
 
-struct CliResult {
-  int exitCode = -1;
-  std::string output;  // stdout + stderr
-};
-
-CliResult runCli(const std::string& args) {
-  char dirTemplate[] = "/tmp/essent_cli_XXXXXX";
-  char* dir = mkdtemp(dirTemplate);
-  std::string outFile = std::string(dir) + "/out.txt";
-  std::string cmd = std::string(ESSENTC_PATH) + " " + args + " > " + outFile + " 2>&1";
-  int rc = std::system(cmd.c_str());
-  CliResult res;
-  res.exitCode = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
-  std::ifstream f(outFile);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  res.output = ss.str();
-  return res;
-}
-
-std::string writeFir(const std::string& contents) {
-  char fileTemplate[] = "/tmp/essent_cli_fir_XXXXXX";
-  int fd = mkstemp(fileTemplate);
-  if (fd >= 0) close(fd);
-  std::ofstream f(fileTemplate);
-  f << contents;
-  return fileTemplate;
-}
+using essent::clitest::runCli;
+using essent::clitest::writeFile;
+using essent::support::TempDir;
 
 const char* kCounterFir = R"(
 circuit Counter :
@@ -57,7 +31,8 @@ circuit Counter :
 )";
 
 TEST(Cli, StatsReportsPartitioning) {
-  std::string fir = writeFir(kCounterFir);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   auto res = runCli("--stats " + fir);
   EXPECT_EQ(res.exitCode, 0) << res.output;
   EXPECT_NE(res.output.find("design Counter"), std::string::npos);
@@ -66,7 +41,8 @@ TEST(Cli, StatsReportsPartitioning) {
 }
 
 TEST(Cli, RunWithPokesReportsOutputs) {
-  std::string fir = writeFir(kCounterFir);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   auto res = runCli("--run 10 --poke en=1 --poke reset=0 " + fir);
   EXPECT_EQ(res.exitCode, 0) << res.output;
   // After 10 cycles the output shows the pre-update value of cycle 10.
@@ -76,7 +52,8 @@ TEST(Cli, RunWithPokesReportsOutputs) {
 }
 
 TEST(Cli, RunOnAlternateEngines) {
-  std::string fir = writeFir(kCounterFir);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   for (const char* engine : {"full", "event"}) {
     auto res = runCli(std::string("--run 10 --engine ") + engine + " --poke en=1 " + fir);
     EXPECT_EQ(res.exitCode, 0) << res.output;
@@ -85,7 +62,8 @@ TEST(Cli, RunOnAlternateEngines) {
 }
 
 TEST(Cli, EmitCppProducesCompilableLookingCode) {
-  std::string fir = writeFir(kCounterFir);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   auto res = runCli("--emit-cpp " + fir);
   EXPECT_EQ(res.exitCode, 0);
   EXPECT_NE(res.output.find("struct Simulator"), std::string::npos);
@@ -96,14 +74,16 @@ TEST(Cli, EmitCppProducesCompilableLookingCode) {
 }
 
 TEST(Cli, DotEmitsPartitionGraph) {
-  std::string fir = writeFir(kCounterFir);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   auto res = runCli("--dot --cp 2 " + fir);
   EXPECT_EQ(res.exitCode, 0);
   EXPECT_NE(res.output.find("digraph partitions"), std::string::npos);
 }
 
 TEST(Cli, VcdDumpWritten) {
-  std::string fir = writeFir(kCounterFir);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   std::string vcd = fir + ".vcd";
   auto res = runCli("--run 5 --poke en=1 --vcd " + vcd + " " + fir);
   EXPECT_EQ(res.exitCode, 0) << res.output;
@@ -114,7 +94,8 @@ TEST(Cli, VcdDumpWritten) {
 }
 
 TEST(Cli, AllowCombLoopsFlag) {
-  std::string fir = writeFir(R"(
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "latch.fir", R"(
 circuit Latch :
   module Latch :
     input s : UInt<1>
@@ -136,7 +117,8 @@ circuit Latch :
 }
 
 TEST(Cli, CompileRunCrossChecksInterpreter) {
-  std::string fir = writeFir(kCounterFir);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   auto res = runCli("--compile-run 12 --poke en=1 --poke reset=0 " + fir);
   EXPECT_EQ(res.exitCode, 0) << res.output;
   EXPECT_NE(res.output.find("count = 0xb (matches interpreter)"), std::string::npos)
@@ -146,7 +128,7 @@ TEST(Cli, CompileRunCrossChecksInterpreter) {
   EXPECT_NE(bad.exitCode, 0);
   // A poke wider than its input is masked on both sides, as Engine::poke
   // masks it: the emitted mux stores its unsigned arm unmasked.
-  std::string wideFir = writeFir(R"(
+  std::string wideFir = writeFile(tmp, "wide.fir", R"(
 circuit W :
   module W :
     input clock : Clock
@@ -176,7 +158,8 @@ TEST(Cli, CompileRunKeepsCollidingMemoryNamesApart) {
 }
 
 TEST(Cli, EngineLongAliasesAccepted) {
-  std::string fir = writeFir(kCounterFir);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   for (const char* engine : {"essent-ccss", "full-cycle", "event-driven"}) {
     auto res = runCli(std::string("--run 10 --engine ") + engine + " --poke en=1 " + fir);
     EXPECT_EQ(res.exitCode, 0) << engine << res.output;
@@ -191,7 +174,8 @@ TEST(Cli, EngineLongAliasesAccepted) {
 }
 
 TEST(Cli, BatchRunsFarmAndAgreesWithSolo) {
-  std::string fir = writeFir(kCounterFir);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   auto res = runCli("--run 10 --batch 3 --threads 2 --poke en=1 --poke reset=0 " + fir);
   EXPECT_EQ(res.exitCode, 0) << res.output;
   EXPECT_NE(res.output.find("farm: 3 instances on ccss engine"), std::string::npos)
@@ -202,14 +186,15 @@ TEST(Cli, BatchRunsFarmAndAgreesWithSolo) {
   // --batch gates on --run and rejects per-instance output flags.
   auto noRun = runCli("--stats --batch 2 " + fir);
   EXPECT_EQ(noRun.exitCode, 2);
-  auto withVcd = runCli("--run 5 --batch 2 --vcd /tmp/x.vcd " + fir);
+  auto withVcd = runCli("--run 5 --batch 2 --vcd " + tmp.file("x.vcd") + " " + fir);
   EXPECT_EQ(withVcd.exitCode, 2);
 }
 
 TEST(Cli, BatchStimulusDirDrivesInstances) {
-  std::string fir = writeFir(kCounterFir);
-  char dirTemplate[] = "/tmp/essent_cli_stim_XXXXXX";
-  std::string dir = mkdtemp(dirTemplate);
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
+  const std::string dir = tmp.file("stim");
+  std::filesystem::create_directory(dir);
   std::ofstream(dir + "/on.stim") << "inputs en reset\nwidths 1 1\n1 0\n1 0\n1 0\n1 0\n";
   std::ofstream(dir + "/off.stim") << "inputs en reset\nwidths 1 1\n0 0\n0 0\n0 0\n0 0\n";
   auto res = runCli("--run 4 --batch 2 --stimulus-dir " + dir + " " + fir);
@@ -226,10 +211,42 @@ TEST(Cli, ErrorsAreUsable) {
   auto badArg = runCli("--frobnicate");
   EXPECT_EQ(badArg.exitCode, 2);
   EXPECT_NE(badArg.output.find("usage:"), std::string::npos);
-  std::string badFir = writeFir("circuit X :\n  module Y :\n    skip\n");
+  TempDir tmp("essent_cli_XXXXXX");
+  std::string badFir = writeFile(tmp, "bad.fir", "circuit X :\n  module Y :\n    skip\n");
   auto parseErr = runCli("--stats " + badFir);
   EXPECT_EQ(parseErr.exitCode, 1);
   EXPECT_NE(parseErr.output.find("essentc:"), std::string::npos);
+}
+
+// These tests and essentc --compile-run keep their scratch files in
+// TempDirs: with TMPDIR pointing at a private directory, a compile-run
+// leaves that directory empty.
+TEST(Cli, LeavesNoScratchFilesBehind) {
+  namespace fs = std::filesystem;
+  char scratchT[] = "/tmp/essent_cli_tmpdir_XXXXXX";
+  ASSERT_NE(mkdtemp(scratchT), nullptr);
+  const std::string scratch = scratchT;
+  const char* oldTmp = std::getenv("TMPDIR");
+  const std::string savedTmp = oldTmp ? oldTmp : "";
+  setenv("TMPDIR", scratch.c_str(), 1);
+
+  essent::clitest::CliResult res;
+  {
+    TempDir tmp("essent_cli_XXXXXX");
+    res = runCli("--compile-run 12 --poke en=1 --poke reset=0 " +
+                 writeFile(tmp, "counter.fir", kCounterFir));
+  }
+
+  if (oldTmp) setenv("TMPDIR", savedTmp.c_str(), 1);
+  else unsetenv("TMPDIR");
+  std::vector<std::string> left;
+  for (const fs::directory_entry& ent : fs::directory_iterator(scratch))
+    left.push_back(ent.path().filename().string());
+  fs::remove_all(scratch);
+
+  EXPECT_EQ(res.exitCode, 0) << res.output;
+  EXPECT_NE(res.output.find("outputs match the interpreter"), std::string::npos) << res.output;
+  EXPECT_EQ(left, std::vector<std::string>{}) << "left behind in the private TMPDIR";
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <tuple>
+#include <utility>
 
 #include "codegen/emitter.h"
 #include "core/activity_engine.h"
@@ -160,11 +160,16 @@ std::vector<std::string> signalLocals(const std::string& bodies, size_t minInden
   return names;
 }
 
+// The out-of-line definitions: everything from the last opening of the
+// namespace on (the struct comes before it).
+std::string definitions(const std::string& code) {
+  return code.substr(code.rfind("namespace essent_gen {\n"));
+}
+
 // No member carries a default initializer: in the struct body (two-space
-// indent; function bodies are indented further) every data member
-// declaration ends at its name. Every live signal is exactly one of a
-// member (the declarations with a width comment) or a local declared once
-// in a function body.
+// indent) every data member declaration ends at its name. Every live
+// signal is exactly one of a member (the declarations with a width
+// comment) or a local declared once in an out-of-line function body.
 TEST(Codegen, NoDefaultMemberInitializers) {
   SimIR ir = sim::buildFromFirrtl(designs::gatedBanksFirrtl(4, 8));
   CondPartSchedule sched = makeSchedule(ir);
@@ -179,9 +184,9 @@ TEST(Codegen, NoDefaultMemberInitializers) {
     const ShardedCpp sh = emitCppSharded(ir, sp, opts, 2, "sim");
     std::string units;
     for (const auto& u : sh.units) units += u;
-    // (struct text, function bodies, their minimum indent)
-    for (const auto& [text, bodies, indent] :
-         {std::tuple{single, single, size_t{4}}, std::tuple{sh.header, units, size_t{2}}}) {
+    // (struct text, function bodies)
+    for (const auto& [text, bodies] :
+         {std::pair{single, definitions(single)}, std::pair{sh.header, units}}) {
       std::istringstream lines(structBody(text));
       std::set<std::string> members;
       for (std::string line; std::getline(lines, line);) {
@@ -194,13 +199,35 @@ TEST(Codegen, NoDefaultMemberInitializers) {
           members.insert(line.substr(11, line.find(';') - 11));
       }
       std::set<std::string> locals;
-      for (const std::string& n : signalLocals(bodies, indent)) {
+      for (const std::string& n : signalLocals(bodies, 2)) {
         EXPECT_TRUE(locals.insert(n).second) << n << " declared twice";
         EXPECT_EQ(members.count(n), 0u) << n << " is both a member and a local";
       }
       EXPECT_GT(locals.size(), 0u);
       EXPECT_EQ(members.size(), live - locals.size());
     }
+  }
+}
+
+// emitCpp is the one-shard emission as one file: the same struct, then the
+// same definitions as its one unit, without the header's include guard or
+// the unit's #include of it.
+TEST(Codegen, OneFileIsTheOneShardLayout) {
+  SimIR ir = sim::buildFromFirrtl(designs::gatedBanksFirrtl(4, 8));
+  CondPartSchedule sched = makeSchedule(ir);
+  for (bool ccss : {false, true}) {
+    SCOPED_TRACE(ccss ? "ccss" : "baseline");
+    CodegenOptions opts;
+    opts.ccss = ccss;
+    const CondPartSchedule* sp = ccss ? &sched : nullptr;
+    const std::string one = emitCpp(ir, sp, opts);
+    const ShardedCpp sh = emitCppSharded(ir, sp, opts, 1, "sim");
+    ASSERT_EQ(sh.units.size(), 1u);
+    EXPECT_EQ(structBody(one), structBody(sh.header));
+    EXPECT_EQ(definitions(one), definitions(sh.units[0]));
+    EXPECT_NE(definitions(one).find("::eval() {"), std::string::npos);
+    EXPECT_EQ(one.find("#pragma once"), std::string::npos);
+    EXPECT_EQ(one.find("#include \"sim.h\""), std::string::npos);
   }
 }
 
@@ -269,7 +296,7 @@ circuit L :
   const Netlist nl = Netlist::build(ir);
 
   for (bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "sharded" : "single unit");
+    SCOPED_TRACE(sharded ? "sharded" : "one file");
     auto emit = [&](const CondPartSchedule* sp, bool ccss) {
       CodegenOptions opts;
       opts.ccss = ccss;
@@ -290,11 +317,10 @@ circuit L :
     EXPECT_TRUE(declaresLocal(functionBody(code, strfmt("part_%zu_() {", pos)), mulName)) << code;
     EXPECT_TRUE(isMember(code, printName)) << code;  // read by a print
 
-    // Baseline: eval() (single unit) or chunk_0_() owns every op.
+    // Baseline: chunk_0_() owns every op.
     code = emit(nullptr, false);
     EXPECT_FALSE(isMember(code, mulName)) << code;
-    EXPECT_TRUE(declaresLocal(functionBody(code, sharded ? "chunk_0_() {" : "eval() {"), mulName))
-        << code;
+    EXPECT_TRUE(declaresLocal(functionBody(code, "chunk_0_() {"), mulName)) << code;
     EXPECT_TRUE(isMember(code, printName)) << code;
 
     // One op per partition: the add reading mul is another partition.
@@ -304,7 +330,7 @@ circuit L :
     EXPECT_TRUE(isMember(code, mulName)) << code;
 
     // No state elision: the register's next value (shared with output x)
-    // is read by the deferred write in eval()/finish_() as well as by the
+    // is read by the deferred write in finish_() as well as by the
     // partition computing it.
     CondPartSchedule deferred =
         core::buildScheduleFrom(nl, core::partitionNetlist(nl), /*stateElision=*/false);
@@ -390,7 +416,7 @@ circuit W :
     output o : UInt<80>
     o <= pad(a, 80)
 )");
-  EXPECT_THROW(emitCpp(ir, nullptr, CodegenOptions{"S", false, true}), CodegenError);
+  EXPECT_THROW(emitCpp(ir, nullptr, CodegenOptions{false, true}), CodegenError);
 }
 
 TEST(Codegen, MemberNamesAreUniqueAndStable) {
@@ -466,12 +492,8 @@ std::string compileAndRunSharded(const codegen::ShardedCpp& sh, const std::strin
   return buildRunAndClean(dir, srcs);
 }
 
-// The sharded emission must behave exactly like the single-TU one in both
-// modes, while actually splitting the definitions across units.
-TEST(CodegenRun, ShardedMatchesSingleUnitBothModes) {
-  SimIR ir = sim::buildFromFirrtl(designs::gatedBanksFirrtl(8, 16));
-  CondPartSchedule sched = makeSchedule(ir);
-  const std::string mainBody = R"(
+// Drives designs::gatedBanksFirrtl(8, 16) for 60 cycles and prints its sum.
+const char* kBanksMain = R"(
   sim.reset = 0;
   sim.wdata = 3;
   for (int c = 0; c < 60; c++) {
@@ -481,19 +503,51 @@ TEST(CodegenRun, ShardedMatchesSingleUnitBothModes) {
   std::printf("sum=%llu cycles=%llu\n", (unsigned long long)sim.sum,
               (unsigned long long)sim.cycles_);
 )";
+
+// The emission behaves the same with its definitions in one unit as split
+// across three, in both modes.
+TEST(CodegenRun, ShardedMatchesSingleUnitBothModes) {
+  SimIR ir = sim::buildFromFirrtl(designs::gatedBanksFirrtl(8, 16));
+  CondPartSchedule sched = makeSchedule(ir);
   for (bool ccss : {false, true}) {
     CodegenOptions opts;
     opts.ccss = ccss;
-    std::string single = compileAndRun(emitCpp(ir, ccss ? &sched : nullptr, opts), mainBody);
+    std::string single = compileAndRunSharded(
+        codegen::emitCppSharded(ir, ccss ? &sched : nullptr, opts, 1, "banks"), kBanksMain);
     codegen::ShardedCpp sh =
         codegen::emitCppSharded(ir, ccss ? &sched : nullptr, opts, 3, "banks");
     EXPECT_EQ(sh.headerName, "banks.h");
     EXPECT_EQ(sh.units.size(), 3u) << (ccss ? "ccss" : "baseline");
     EXPECT_NE(sh.header.find("struct Simulator"), std::string::npos);
-    std::string out = compileAndRunSharded(sh, mainBody);
+    std::string out = compileAndRunSharded(sh, kBanksMain);
     EXPECT_EQ(out, single) << (ccss ? "ccss" : "baseline") << " mode:\n" << out;
     EXPECT_NE(out.find("sum="), std::string::npos);
   }
+}
+
+// Drives designs::counterFirrtl(8) for 40 cycles, en off every third.
+const char* kCounterMain = R"(
+  sim.reset = 0;
+  for (int c = 0; c < 40; c++) {
+    sim.en = (c % 3) != 0;
+    sim.eval();
+  }
+  std::printf("count=%llu\n", (unsigned long long)sim.count);
+)";
+
+// Baseline emission over two shards defines an op chunk in each unit, not
+// both chunks in the first (the counter's first chunk is under half its
+// bytes), and computes what the one-file emission does.
+TEST(CodegenRun, BaselineShardsEachGetAChunk) {
+  SimIR ir = sim::buildFromFirrtl(designs::counterFirrtl(8));
+  CodegenOptions opts;
+  opts.ccss = false;
+  const ShardedCpp sh = emitCppSharded(ir, nullptr, opts, 2, "counter");
+  ASSERT_EQ(sh.units.size(), 2u);
+  for (const std::string& u : sh.units) EXPECT_NE(u.find("::chunk_"), std::string::npos) << u;
+  const std::string out = compileAndRunSharded(sh, kCounterMain);
+  EXPECT_EQ(out, compileAndRun(emitCpp(ir, nullptr, opts), kCounterMain));
+  EXPECT_NE(out.find("count="), std::string::npos) << out;
 }
 
 // The construction contract: before its first eval(), a fresh Simulator
@@ -603,20 +657,11 @@ TEST(CodegenRun, CounterMatchesInterpreterBothModes) {
     ref.tick();
   }
   uint64_t expected = ref.peek("count");
-
-  const std::string mainBody = R"(
-  sim.reset = 0;
-  for (int c = 0; c < 40; c++) {
-    sim.en = (c % 3) != 0;
-    sim.eval();
-  }
-  std::printf("count=%llu\n", (unsigned long long)sim.count);
-)";
   for (bool ccss : {false, true}) {
     CodegenOptions opts;
     opts.ccss = ccss;
     std::string code = emitCpp(ir, ccss ? &sched : nullptr, opts);
-    std::string out = compileAndRun(code, mainBody);
+    std::string out = compileAndRun(code, kCounterMain);
     EXPECT_EQ(out, strfmt("count=%llu\n", static_cast<unsigned long long>(expected)))
         << (ccss ? "ccss" : "baseline") << " mode:\n" << out;
   }

@@ -4,17 +4,13 @@
 // JSON parser and satisfy the documented sum checks.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli_harness.h"
 #include "obs/json.h"
 
-#ifndef ESSENTC_PATH
-#error "ESSENTC_PATH must be defined by the build"
-#endif
 #ifndef EXAMPLES_DIR
 #error "EXAMPLES_DIR must be defined by the build"
 #endif
@@ -23,28 +19,8 @@ namespace {
 
 using essent::obs::Json;
 
-struct CliResult {
-  int exitCode = -1;
-  std::string output;  // stdout + stderr
-};
-
-std::string tempDir() {
-  char dirTemplate[] = "/tmp/essent_obs_cli_XXXXXX";
-  return mkdtemp(dirTemplate);
-}
-
-CliResult runCli(const std::string& args, const std::string& dir) {
-  std::string outFile = dir + "/out.txt";
-  std::string cmd = std::string(ESSENTC_PATH) + " " + args + " > " + outFile + " 2>&1";
-  int rc = std::system(cmd.c_str());
-  CliResult res;
-  res.exitCode = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
-  std::ifstream f(outFile);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  res.output = ss.str();
-  return res;
-}
+using essent::clitest::runCli;
+using essent::support::TempDir;
 
 Json parseFile(const std::string& path) {
   std::ifstream f(path);
@@ -57,11 +33,10 @@ Json parseFile(const std::string& path) {
 std::string example(const char* name) { return std::string(EXAMPLES_DIR) + "/" + name; }
 
 TEST(ObsCli, ProfileEmitsSumCheckedJson) {
-  std::string dir = tempDir();
-  std::string p = dir + "/p.json";
+  const TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string p = tmp.file("p.json");
   auto res = runCli("--run 1000 --poke en=1 --poke sel=2 --profile " + p + " " +
-                        example("counterbanks.fir"),
-                    dir);
+                        example("counterbanks.fir"));
   ASSERT_EQ(res.exitCode, 0) << res.output;
   EXPECT_NE(res.output.find("wrote profile"), std::string::npos) << res.output;
 
@@ -94,11 +69,10 @@ TEST(ObsCli, ProfileEmitsSumCheckedJson) {
 }
 
 TEST(ObsCli, StatsJsonOnRunIncludesEngineSection) {
-  std::string dir = tempDir();
-  std::string s = dir + "/s.json";
+  const TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string s = tmp.file("s.json");
   auto res = runCli("--run 200 --poke start=1 --poke a=48 --poke b=36 --stats-json " + s + " " +
-                        example("gcd.fir"),
-                    dir);
+                        example("gcd.fir"));
   ASSERT_EQ(res.exitCode, 0) << res.output;
   Json doc = parseFile(s);
   EXPECT_EQ(doc.at("design").at("name").asStr(), "GCD");
@@ -113,9 +87,9 @@ TEST(ObsCli, StatsJsonOnRunIncludesEngineSection) {
 }
 
 TEST(ObsCli, StatsJsonWithoutRunOmitsEngineSection) {
-  std::string dir = tempDir();
-  std::string s = dir + "/s.json";
-  auto res = runCli("--stats-json " + s + " " + example("counterbanks.fir"), dir);
+  const TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string s = tmp.file("s.json");
+  auto res = runCli("--stats-json " + s + " " + example("counterbanks.fir"));
   ASSERT_EQ(res.exitCode, 0) << res.output;
   Json doc = parseFile(s);
   EXPECT_EQ(doc.find("engine"), nullptr);
@@ -125,12 +99,11 @@ TEST(ObsCli, StatsJsonWithoutRunOmitsEngineSection) {
 TEST(ObsCli, StatsJsonEdgeConfigsBaselineAndCpZero) {
   // --baseline disables activity tracking; --cp 0 disables sibling merging.
   // Both must still produce parseable stats documents.
-  std::string dir = tempDir();
+  const TempDir tmp("essent_obs_cli_XXXXXX");
   for (const char* cfg : {"--baseline", "--cp 0"}) {
-    std::string s = dir + "/edge.json";
+    const std::string s = tmp.file("edge.json");
     auto res = runCli(std::string(cfg) + " --run 100 --stats-json " + s + " " +
-                          example("counterbanks.fir"),
-                      dir);
+                          example("counterbanks.fir"));
     ASSERT_EQ(res.exitCode, 0) << cfg << ": " << res.output;
     Json doc = parseFile(s);
     EXPECT_EQ(doc.at("engine").at("stats").at("cycles").asUInt(), 100u) << cfg;
@@ -139,33 +112,31 @@ TEST(ObsCli, StatsJsonEdgeConfigsBaselineAndCpZero) {
 }
 
 TEST(ObsCli, TopHotPrintsRankedTable) {
-  std::string dir = tempDir();
   auto res = runCli("--run 500 --poke en=1 --poke sel=1 --top-hot 3 " +
-                        example("counterbanks.fir"),
-                    dir);
+                        example("counterbanks.fir"));
   ASSERT_EQ(res.exitCode, 0) << res.output;
   EXPECT_NE(res.output.find("hottest partitions"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("ops"), std::string::npos);
 }
 
 TEST(ObsCli, ProfileRequiresRunAndCcssEngine) {
-  std::string dir = tempDir();
+  const TempDir tmp("essent_obs_cli_XXXXXX");
   std::string fir = example("counterbanks.fir");
-  auto noRun = runCli("--profile " + dir + "/p.json " + fir, dir);
+  auto noRun = runCli("--profile " + tmp.file("p.json") + " " + fir);
   EXPECT_NE(noRun.exitCode, 0);
   EXPECT_NE(noRun.output.find("--run"), std::string::npos) << noRun.output;
-  auto wrongEngine = runCli("--engine full --run 10 --profile " + dir + "/p.json " + fir, dir);
+  auto wrongEngine =
+      runCli("--engine full --run 10 --profile " + tmp.file("p.json") + " " + fir);
   EXPECT_NE(wrongEngine.exitCode, 0);
-  auto badPath = runCli("--run 10 --profile /nonexistent-dir/p.json " + fir, dir);
+  auto badPath = runCli("--run 10 --profile /nonexistent-dir/p.json " + fir);
   EXPECT_NE(badPath.exitCode, 0);
 }
 
 TEST(ObsCli, ProfileOnGcdExampleParses) {
-  std::string dir = tempDir();
-  std::string p = dir + "/gcd.json";
+  const TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string p = tmp.file("gcd.json");
   auto res = runCli("--run 300 --poke start=1 --poke a=1071 --poke b=462 --profile " + p + " " +
-                        example("gcd.fir"),
-                    dir);
+                        example("gcd.fir"));
   ASSERT_EQ(res.exitCode, 0) << res.output;
   Json doc = parseFile(p);
   EXPECT_EQ(doc.at("design").asStr(), "GCD");

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_harness.h"
 #include "core/parallel_engine.h"
 #include "fuzz/mutator.h"
 #include "fuzz/oracle.h"
@@ -26,10 +27,6 @@
 #include "support/resource_guard.h"
 #include "support/subprocess.h"
 #include "support/threadpool.h"
-
-#ifndef ESSENTC_PATH
-#error "ESSENTC_PATH must be defined by the build"
-#endif
 
 namespace {
 
@@ -286,35 +283,9 @@ TEST(OracleWatchdog, InjectedHangIsKilledAndReportedAsTimeout) {
 
 // --- essentc CLI exit-code contract ---
 
-struct CliResult {
-  int exitCode = -1;
-  std::string output;
-};
-
-CliResult runCli(const std::string& args) {
-  char dirTemplate[] = "/tmp/essent_robust_XXXXXX";
-  char* dir = mkdtemp(dirTemplate);
-  std::string outFile = std::string(dir) + "/out.txt";
-  std::string cmd = std::string(ESSENTC_PATH) + " " + args + " > " + outFile + " 2>&1";
-  int rc = std::system(cmd.c_str());
-  CliResult res;
-  res.exitCode = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
-  std::ifstream f(outFile);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  res.output = ss.str();
-  return res;
-}
-
-std::string writeTemp(const std::string& contents, const char* suffix = ".fir") {
-  char fileTemplate[] = "/tmp/essent_robust_f_XXXXXX";
-  int fd = mkstemp(fileTemplate);
-  if (fd >= 0) close(fd);
-  std::string path = std::string(fileTemplate) + suffix;
-  std::ofstream f(path);
-  f << contents;
-  return path;
-}
+using clitest::runCli;
+using clitest::writeFile;
+using support::TempDir;
 
 const char* kMultiErrorFir =
     "circuit Bad :\n"
@@ -332,8 +303,9 @@ TEST(CliRobust, HelpDocumentsExitCodes) {
 }
 
 TEST(CliRobust, MultiErrorFileRendersAllDiagnosticsAndJson) {
-  std::string fir = writeTemp(kMultiErrorFir);
-  std::string json = writeTemp("", ".json");
+  TempDir tmp("essent_robust_XXXXXX");
+  std::string fir = writeFile(tmp, "bad.fir", kMultiErrorFir);
+  std::string json = tmp.file("diag.json");
   auto res = runCli("--stats --diag-json " + json + " " + fir);
   EXPECT_EQ(res.exitCode, 1);
   // Both errors rendered, clang-style, with locations.
@@ -351,16 +323,18 @@ TEST(CliRobust, MultiErrorFileRendersAllDiagnosticsAndJson) {
 }
 
 TEST(CliRobust, InjectedHangExits124) {
-  std::string fir = writeTemp(
-      "circuit T :\n  module T :\n    input clock : Clock\n"
-      "    input x : UInt<4>\n    output y : UInt<4>\n    y <= x\n");
+  TempDir tmp("essent_robust_XXXXXX");
+  std::string fir = writeFile(tmp, "t.fir",
+                              "circuit T :\n  module T :\n    input clock : Clock\n"
+                              "    input x : UInt<4>\n    output y : UInt<4>\n    y <= x\n");
   auto res = runCli("--compile-run 3 --inject-hang --timeout-ms 3000 " + fir);
   EXPECT_EQ(res.exitCode, 124) << res.output;
   EXPECT_NE(res.output.find("timed out"), std::string::npos) << res.output;
 }
 
 TEST(CliRobust, ResourceCeilingsExit1WithE05xx) {
-  std::string fir = writeTemp(kCounterFir);
+  TempDir tmp("essent_robust_XXXXXX");
+  std::string fir = writeFile(tmp, "counter.fir", kCounterFir);
   auto overCycles = runCli("--run 100 --max-cycles 10 " + fir);
   EXPECT_EQ(overCycles.exitCode, 1);
   EXPECT_NE(overCycles.output.find("E0503"), std::string::npos) << overCycles.output;
@@ -391,9 +365,10 @@ bool anyProcessMentions(const std::string& needle) {
 
 TEST(CliRobust, CompileRunInterruptKillsChildrenCleansUpExits130) {
   namespace fs = std::filesystem;
-  std::string fir = writeTemp(
-      "circuit T :\n  module T :\n    input clock : Clock\n"
-      "    input x : UInt<4>\n    output y : UInt<4>\n    y <= x\n");
+  TempDir tmp("essent_robust_XXXXXX");
+  std::string fir = writeFile(tmp, "t.fir",
+                              "circuit T :\n  module T :\n    input clock : Clock\n"
+                              "    input x : UInt<4>\n    output y : UInt<4>\n    y <= x\n");
   // Private TMPDIR so the leak check below only sees this test's dirs.
   char scratchT[] = "/tmp/essent_sigrelay_XXXXXX";
   char* made = mkdtemp(scratchT);
