@@ -31,7 +31,9 @@
 // instance selects the same bank on the same cycle) with per-instance
 // data, the regression/sweep shape lanes are built for; divergent control
 // would drive the union activity mask up and shrink the win (see
-// docs/SIMD.md). A forced-portable row documents the no-intrinsics floor.
+// docs/SIMD.md). Every tier runs the same wide-kernel source, compiled per
+// ISA; a forced-portable row measures what the baseline-ISA compilation
+// gives up against the best tier the CPU has.
 #include <chrono>
 #include <thread>
 
@@ -212,7 +214,7 @@ int main(int argc, char** argv) {
 
   for (unsigned workers : {1u, 2u})
     for (unsigned lanes : {1u, 8u, 16u, 64u}) runLaneCell(workers, lanes, false);
-  // No-intrinsics floor: the portable loops still amortize dispatch.
+  // Baseline-ISA floor: the portable compilation still amortizes dispatch.
   runLaneCell(1, 64, true);
 
   std::printf("\nexpected shape: setup-shr stays flat-ish in N (structure built once) while\n"

@@ -60,7 +60,6 @@ std::shared_ptr<const CompiledCcss> CompiledCcss::get(
                     "/pA=" + std::to_string(po.phaseSingleParent) +
                     "/pB=" + std::to_string(po.phaseSmallSiblings) +
                     "/pC=" + std::to_string(po.phaseAnySibling) +
-                    "/mp=" + std::to_string(po.maxPasses) +
                     "/elide=" + std::to_string(opts.stateElision);
   // Only the design-free schedule body lives in the cache (see
   // CcssSchedule); the wrapper pairing it with the design is rebuilt per

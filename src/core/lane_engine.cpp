@@ -26,6 +26,9 @@ inline unsigned laneCount(uint64_t mask) {
 
 inline uint64_t laneBit(unsigned l) { return uint64_t{1} << l; }
 
+// Operand slot of an absent argument, one stride (at most 64 lanes) of 0.
+const uint64_t kZeros[64] = {};
+
 size_t memIndexOrThrow(const sim::SimIR& ir, const std::string& name) {
   for (size_t m = 0; m < ir.mems.size(); m++)
     if (ir.mems[m].name == name) return m;
@@ -385,13 +388,11 @@ void LaneEngine::evalOp(const LaneExecOp& lop) {
       break;
     }
     case LaneKernel::WideFast: {
-      static const uint64_t kZeros[64] = {};
       uint64_t* d = &vals_[lop.dOff];
       const uint64_t* a = lop.aOff != UINT32_MAX ? &vals_[lop.aOff] : kZeros;
       const uint64_t* b = lop.bOff != UINT32_MAX ? &vals_[lop.bOff] : kZeros;
       const uint64_t* c = lop.cOff != UINT32_MAX ? &vals_[lop.cOff] : kZeros;
-      if (wideFn_ != nullptr && wideFn_(op, d, a, b, c, stride_)) break;
-      laneEvalWidePortable(op, d, a, b, c, stride_);
+      wideFn_(op, d, a, b, c, stride_);
       break;
     }
     case LaneKernel::GenericFast: {
@@ -399,7 +400,6 @@ void LaneEngine::evalOp(const LaneExecOp& lop) {
       // so a packed operand expands exactly to 0/1 words: stage those into
       // scratch rows and run the same wide kernel as WideFast once for all
       // lanes, compressing a packed dest back to its bit slice afterwards.
-      static const uint64_t kZeros[64] = {};
       auto stage = [&](uint32_t off, bool packed, uint64_t* scratch) -> const uint64_t* {
         if (off == UINT32_MAX) return kZeros;
         if (!packed) return &vals_[off];
@@ -412,8 +412,7 @@ void LaneEngine::evalOp(const LaneExecOp& lop) {
       const uint64_t* b = stage(lop.bOff, lop.bPacked, s + stride_);
       const uint64_t* c = stage(lop.cOff, lop.cPacked, s + 2 * stride_);
       uint64_t* d = lop.dPacked ? s + 3 * stride_ : &vals_[lop.dOff];
-      if (!(wideFn_ != nullptr && wideFn_(op, d, a, b, c, stride_)))
-        laneEvalWidePortable(op, d, a, b, c, stride_);
+      wideFn_(op, d, a, b, c, stride_);
       if (lop.dPacked) {
         uint64_t bits = 0;
         for (unsigned l = 0; l < stride_; l++) bits |= (d[l] & 1) << l;

@@ -6,8 +6,8 @@
 // instruction and evaluated for all lanes — amortizing the interpreter
 // dispatch that makes N scalar farm instances throughput-neutral versus
 // sequential runs, and turning identical-logic/different-data batches into
-// straight SIMD loops (AVX2/AVX-512 kernels behind runtime dispatch, with
-// auto-vectorized portable loops as the universal fallback; see
+// straight SIMD loops (one wide kernel over sim::evalFastCode, compiled for
+// the baseline ISA, AVX2 and AVX-512 behind runtime dispatch; see
 // core/lane_simd.h and docs/SIMD.md).
 //
 // Activity skipping composes with lanes: a partition executes if ANY lane's
@@ -61,7 +61,7 @@ struct LaneStateLayout {
 enum class LaneKernel : uint8_t {
   WideFast,     // single-word unpacked operands: one loop over the stride
   Packed1,      // all operands bit-sliced: one uint64 op covers every lane
-  GenericFast,  // single-word, mixed packing or div/rem: per-lane scalar
+  GenericFast,  // single-word, mixed packing: staged rows, then the wide loop
   SlowBV,       // multi-word: per-lane BitVec reference semantics
   ConstOp,      // broadcast once at init/reset, excluded from per-cycle work
   MemReadOp,    // per-lane gather from the lane memory arena
@@ -193,7 +193,7 @@ class LaneEngine {
   uint32_t stride_;
   uint64_t allMask_;  // bits 0..lanes-1
   LaneSimdTier tier_;
-  LaneWideFn wideFn_;  // nullptr on the portable tier
+  LaneWideFn wideFn_;  // the wide kernel compiled for tier_
 
   // --- mutable lane state ---
   std::vector<uint64_t> vals_;        // SoA arena (LaneStateLayout)

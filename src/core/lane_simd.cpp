@@ -4,22 +4,17 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "sim/op_eval.h"
+#include "core/lane_wide.h"
 
 namespace essent::core {
 
-using sim::ExecOp;
-using sim::maskW;
-using sim::OpCode;
-using sim::sx;
-
 // Defined in the flag-gated TUs (lane_simd_avx2.cpp / lane_simd_avx512.cpp).
 #if ESSENT_HAVE_AVX2
-bool laneWideAvx2(const ExecOp& op, uint64_t* d, const uint64_t* a, const uint64_t* b,
+void laneWideAvx2(const sim::ExecOp& op, uint64_t* d, const uint64_t* a, const uint64_t* b,
                   const uint64_t* c, uint32_t n);
 #endif
 #if ESSENT_HAVE_AVX512
-bool laneWideAvx512(const ExecOp& op, uint64_t* d, const uint64_t* a, const uint64_t* b,
+void laneWideAvx512(const sim::ExecOp& op, uint64_t* d, const uint64_t* a, const uint64_t* b,
                     const uint64_t* c, uint32_t n);
 #endif
 
@@ -77,7 +72,7 @@ LaneWideFn laneWideKernel() {
 #if ESSENT_HAVE_AVX2
     case LaneSimdTier::Avx2: return &laneWideAvx2;
 #endif
-    default: return nullptr;
+    default: return &laneWide;
   }
 }
 
@@ -86,193 +81,5 @@ void laneSimdForceTier(LaneSimdTier tier) {
 }
 
 void laneSimdResetTier() { g_forcedTier.store(-1, std::memory_order_relaxed); }
-
-// ---------------------------------------------------------------------------
-// Portable wide loops.
-//
-// One op-code dispatch, then a tight per-lane loop over the SoA slots; the
-// loop bodies mirror sim::evalFastScalar case by case (same shift guards,
-// same sign extension) so every tier — and the scalar engines — agree
-// bit-for-bit. The bitwise/arith/compare loops are written without
-// per-iteration branches so -O3 auto-vectorizes them.
-
-namespace {
-
-// Binary/unary loop: every lane computes EXPR over av/bv and stores the
-// destW-masked result.
-#define LANE_LOOP(EXPR)                             \
-  do {                                              \
-    for (uint32_t l = 0; l < n; l++) {              \
-      const uint64_t av = a[l];                     \
-      const uint64_t bv = b[l];                     \
-      (void)av;                                     \
-      (void)bv;                                     \
-      d[l] = static_cast<uint64_t>(EXPR) & dm;      \
-    }                                               \
-  } while (0)
-
-}  // namespace
-
-void laneEvalWidePortable(const ExecOp& op, uint64_t* d, const uint64_t* a, const uint64_t* b,
-                          const uint64_t* c, uint32_t n) {
-  const uint64_t dm = maskW(op.destW);
-  const uint32_t aW = op.aW, bW = op.bW;
-  switch (op.code) {
-    case OpCode::Add:
-      if (op.signedOp) LANE_LOOP(sx(av, aW) + sx(bv, bW));
-      else LANE_LOOP(av + bv);
-      break;
-    case OpCode::Sub:
-      if (op.signedOp) LANE_LOOP(sx(av, aW) - sx(bv, bW));
-      else LANE_LOOP(av - bv);
-      break;
-    case OpCode::Mul:
-      if (op.signedOp)
-        LANE_LOOP(static_cast<uint64_t>(sx(av, aW)) * static_cast<uint64_t>(sx(bv, bW)));
-      else LANE_LOOP(av * bv);
-      break;
-    case OpCode::Div:
-      // Division has per-lane guards (b==0) — no branch-free form; mirror
-      // the scalar semantics lane by lane.
-      for (uint32_t l = 0; l < n; l++) {
-        const uint64_t av = a[l], bv = b[l];
-        uint64_t r;
-        if (bv == 0) r = 0;
-        else if (op.signedOp) r = static_cast<uint64_t>(sx(av, aW) / sx(bv, bW));
-        else r = av / bv;
-        d[l] = r & dm;
-      }
-      break;
-    case OpCode::Rem:
-      for (uint32_t l = 0; l < n; l++) {
-        const uint64_t av = a[l], bv = b[l];
-        uint64_t r;
-        if (bv == 0) r = av;  // x % 0 := x truncated (matches bvops::rem)
-        else if (op.signedOp) {
-          const int64_t sb = sx(bv, bW);
-          r = sb == -1 ? 0 : static_cast<uint64_t>(sx(av, aW) % sb);
-        } else r = av % bv;
-        d[l] = r & dm;
-      }
-      break;
-    case OpCode::Lt:
-      if (op.signedOp) LANE_LOOP(sx(av, aW) < sx(bv, bW));
-      else LANE_LOOP(av < bv);
-      break;
-    case OpCode::Leq:
-      if (op.signedOp) LANE_LOOP(sx(av, aW) <= sx(bv, bW));
-      else LANE_LOOP(av <= bv);
-      break;
-    case OpCode::Gt:
-      if (op.signedOp) LANE_LOOP(sx(av, aW) > sx(bv, bW));
-      else LANE_LOOP(av > bv);
-      break;
-    case OpCode::Geq:
-      if (op.signedOp) LANE_LOOP(sx(av, aW) >= sx(bv, bW));
-      else LANE_LOOP(av >= bv);
-      break;
-    case OpCode::Eq:
-      if (op.signedOp) LANE_LOOP(sx(av, aW) == sx(bv, bW));
-      else LANE_LOOP(av == bv);
-      break;
-    case OpCode::Neq:
-      if (op.signedOp) LANE_LOOP(sx(av, aW) != sx(bv, bW));
-      else LANE_LOOP(av != bv);
-      break;
-    case OpCode::Dshl:
-      // bv < destW <= 64 on the taken branch, so the shift is defined.
-      LANE_LOOP(bv >= op.destW ? 0 : av << bv);
-      break;
-    case OpCode::Dshr:
-      if (op.signedOp) LANE_LOOP(sx(av, aW) >> (bv > 63 ? 63 : bv));
-      else LANE_LOOP(bv >= aW ? 0 : av >> bv);
-      break;
-    case OpCode::And:
-      if (op.signedOp)
-        LANE_LOOP(static_cast<uint64_t>(sx(av, aW)) & static_cast<uint64_t>(sx(bv, bW)));
-      else LANE_LOOP(av & bv);
-      break;
-    case OpCode::Or:
-      if (op.signedOp)
-        LANE_LOOP(static_cast<uint64_t>(sx(av, aW)) | static_cast<uint64_t>(sx(bv, bW)));
-      else LANE_LOOP(av | bv);
-      break;
-    case OpCode::Xor:
-      if (op.signedOp)
-        LANE_LOOP(static_cast<uint64_t>(sx(av, aW)) ^ static_cast<uint64_t>(sx(bv, bW)));
-      else LANE_LOOP(av ^ bv);
-      break;
-    case OpCode::Cat:
-      if (bW >= 64) LANE_LOOP(bv);
-      else LANE_LOOP((av << bW) | bv);
-      break;
-    case OpCode::Not:
-      LANE_LOOP(~av);
-      break;
-    case OpCode::Andr: {
-      const uint64_t am = maskW(aW);
-      LANE_LOOP(av == am);
-      break;
-    }
-    case OpCode::Orr:
-      LANE_LOOP(av != 0);
-      break;
-    case OpCode::Xorr:
-      LANE_LOOP(__builtin_parityll(av));
-      break;
-    case OpCode::Cvt:
-    case OpCode::Pad:
-    case OpCode::Copy:
-      if (op.signedOp) LANE_LOOP(sx(av, aW));
-      else LANE_LOOP(av);
-      break;
-    case OpCode::Neg:
-      if (op.signedOp) LANE_LOOP(-sx(av, aW));
-      else LANE_LOOP(~av + 1);
-      break;
-    case OpCode::Shl:
-      if (op.imm0 >= 64) LANE_LOOP(uint64_t{0});
-      else LANE_LOOP(av << op.imm0);
-      break;
-    case OpCode::Shr:
-      if (op.signedOp) {
-        const uint32_t sh = op.imm0 > 63 ? 63 : static_cast<uint32_t>(op.imm0);
-        LANE_LOOP(sx(av, aW) >> sh);
-      } else if (op.imm0 >= aW) LANE_LOOP(uint64_t{0});
-      else LANE_LOOP(av >> op.imm0);
-      break;
-    case OpCode::Bits: {
-      const uint64_t bm = maskW(static_cast<uint32_t>(op.imm0 - op.imm1 + 1));
-      LANE_LOOP((av >> op.imm1) & bm);
-      break;
-    }
-    case OpCode::Head:
-      if (op.imm0 == 0) LANE_LOOP(uint64_t{0});
-      else LANE_LOOP(av >> (aW - op.imm0));
-      break;
-    case OpCode::Tail:
-      LANE_LOOP(av);  // masked to destW by LANE_LOOP
-      break;
-    case OpCode::Mux:
-      if (op.signedOp) {
-        const uint32_t cW = op.cW;
-        for (uint32_t l = 0; l < n; l++) {
-          const uint64_t tv = static_cast<uint64_t>(sx(b[l], bW));
-          const uint64_t fv = static_cast<uint64_t>(sx(c[l], cW));
-          d[l] = (a[l] != 0 ? tv : fv) & dm;
-        }
-      } else {
-        for (uint32_t l = 0; l < n; l++) d[l] = (a[l] != 0 ? b[l] : c[l]) & dm;
-      }
-      break;
-    case OpCode::Const:
-    case OpCode::MemRead:
-      // Evaluated by the lane engine itself (const broadcast / per-lane
-      // gather) — never routed here.
-      break;
-  }
-}
-
-#undef LANE_LOOP
 
 }  // namespace essent::core

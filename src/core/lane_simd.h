@@ -1,24 +1,22 @@
-// SIMD dispatch for the lane engine's wide kernels.
+// SIMD dispatch for the lane engine's wide kernel.
 //
 // A "wide" op is a fast (single-word) ExecOp evaluated for n lanes at once
-// over contiguous structure-of-arrays operand slots. Three tiers:
+// over contiguous structure-of-arrays operand slots. The kernel has one
+// source, core/lane_wide.h, a per-lane loop over sim::evalFastCode, and
+// three compilations of it, one per tier:
 //
-//   Portable — explicit per-lane loops with the switch hoisted out (GCC/
-//              Clang auto-vectorize the bitwise/arith cases at -O3);
-//   Avx2     — hand intrinsics for the unsigned bitwise/add/sub/mux/eq
-//              subset (AVX2 has no 64-bit arithmetic right shift, so the
-//              signed ops stay on the portable loops);
-//   Avx512   — the same subset over 512-bit vectors + mask registers.
+//   Portable — the baseline ISA (core/lane_simd.cpp);
+//   Avx2     — the same loop built with -mavx2 (core/lane_simd_avx2.cpp);
+//   Avx512   — the same loop built with -mavx512f (core/lane_simd_avx512.cpp).
 //
-// The intrinsic TUs are compiled only when the compiler accepts
-// -mavx2/-mavx512f (ESSENT_HAVE_AVX2/ESSENT_HAVE_AVX512 CMake defines) and
-// are entered only when __builtin_cpu_supports agrees at runtime. The
-// ESSENT_SIMD environment variable overrides detection: "off"/"portable"
-// forces the portable loops, "avx2"/"avx512" caps the tier (clamped to what
-// the build and CPU actually have). An intrinsic kernel returns false for
-// any op outside its subset and the caller falls through to the portable
-// loop, so every tier is semantically identical — the lane conformance
-// tests run the same program under forced tiers and demand bit-equality.
+// Every tier covers every fast op, so there is no subset and no fallback.
+// The ISA TUs are compiled only when the compiler accepts the flag
+// (ESSENT_HAVE_AVX2/ESSENT_HAVE_AVX512 CMake defines) and are entered only
+// when __builtin_cpu_supports agrees at runtime. The ESSENT_SIMD environment
+// variable overrides detection: "off"/"portable" forces the baseline build,
+// "avx2"/"avx512" caps the tier (clamped to what the build and CPU actually
+// have). The lane conformance tests run the same program and every fast op
+// under forced tiers and demand bit-equality.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +28,9 @@ namespace essent::core {
 enum class LaneSimdTier : uint8_t { Portable = 0, Avx2 = 1, Avx512 = 2 };
 
 // Wide-op kernel: evaluate `op` for n lanes (d/a/b/c are n-word SoA slots;
-// c is read only for Mux). Returns false when the op is outside the
-// kernel's subset — the caller must then run the portable loop.
-using LaneWideFn = bool (*)(const sim::ExecOp& op, uint64_t* d, const uint64_t* a,
+// c is read only for Mux) and store canonically masked values. Handles every
+// fast op except Const/MemRead, which the lane engine evaluates itself.
+using LaneWideFn = void (*)(const sim::ExecOp& op, uint64_t* d, const uint64_t* a,
                             const uint64_t* b, const uint64_t* c, uint32_t n);
 
 // Resolved tier after build gates, CPU detection, and the ESSENT_SIMD
@@ -42,14 +40,8 @@ LaneSimdTier laneSimdTier();
 const char* laneSimdTierName(LaneSimdTier tier);  // "portable"/"avx2"/"avx512"
 const char* laneSimdBackendName();                // name of the resolved tier
 
-// Intrinsic kernel for the resolved tier, or nullptr on Portable.
+// The wide kernel compiled for the resolved tier.
 LaneWideFn laneWideKernel();
-
-// Portable reference loops. Handles every fast op except Const/MemRead
-// (evaluated by the lane engine itself) — including Div/Rem, which the
-// intrinsic tiers never cover. Stores canonically masked values.
-void laneEvalWidePortable(const sim::ExecOp& op, uint64_t* d, const uint64_t* a,
-                          const uint64_t* b, const uint64_t* c, uint32_t n);
 
 // Test hook: pin the tier (same clamping as ESSENT_SIMD — forcing an
 // unavailable tier resolves to the best available one below it).

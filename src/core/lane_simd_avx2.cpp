@@ -1,86 +1,13 @@
-// AVX2 wide kernels — compiled with -mavx2 (flag-gated in CMake) and
-// entered only after a __builtin_cpu_supports("avx2") check, so the rest of
-// the binary stays baseline-ISA clean.
-//
-// Covers the unsigned bitwise/add/sub/mux/eq subset: AVX2 has no 64-bit
-// arithmetic right shift or 64-bit compare-unsigned, so the signed and
-// ordered-compare ops stay on the portable loops (returning false routes
-// the caller there). Lane counts are always a multiple of 4 when lanes > 1
-// (LaneStateLayout pads the stride to 8); a stride of 1 also returns false.
-#include <immintrin.h>
-
-#include "core/lane_simd.h"
-#include "sim/op_eval.h"
+// The wide kernel (core/lane_wide.h) compiled with -mavx2 (flag-gated in
+// CMake) and entered only after a __builtin_cpu_supports("avx2") check, so
+// the rest of the binary stays baseline-ISA clean.
+#include "core/lane_wide.h"
 
 namespace essent::core {
 
-using sim::ExecOp;
-using sim::OpCode;
-
-bool laneWideAvx2(const ExecOp& op, uint64_t* d, const uint64_t* a, const uint64_t* b,
+void laneWideAvx2(const sim::ExecOp& op, uint64_t* d, const uint64_t* a, const uint64_t* b,
                   const uint64_t* c, uint32_t n) {
-  if (n % 4 != 0) return false;
-  if (op.signedOp && op.code != OpCode::Not) return false;
-  const __m256i dm = _mm256_set1_epi64x(static_cast<long long>(sim::maskW(op.destW)));
-  const __m256i ones = _mm256_set1_epi64x(1);
-  const __m256i allset = _mm256_set1_epi64x(-1);
-
-#define AVX2_LOOP(EXPR)                                                       \
-  do {                                                                        \
-    for (uint32_t i = 0; i < n; i += 4) {                                     \
-      const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)); \
-      const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)); \
-      (void)vb;                                                               \
-      const __m256i vr = (EXPR);                                              \
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i),                  \
-                          _mm256_and_si256(vr, dm));                          \
-    }                                                                         \
-  } while (0)
-
-  switch (op.code) {
-    case OpCode::And:
-      AVX2_LOOP(_mm256_and_si256(va, vb));
-      return true;
-    case OpCode::Or:
-      AVX2_LOOP(_mm256_or_si256(va, vb));
-      return true;
-    case OpCode::Xor:
-      AVX2_LOOP(_mm256_xor_si256(va, vb));
-      return true;
-    case OpCode::Not:
-      AVX2_LOOP(_mm256_xor_si256(va, allset));
-      return true;
-    case OpCode::Add:
-      AVX2_LOOP(_mm256_add_epi64(va, vb));
-      return true;
-    case OpCode::Sub:
-      AVX2_LOOP(_mm256_sub_epi64(va, vb));
-      return true;
-    case OpCode::Eq:
-      // cmpeq yields all-ones per equal lane; AND with 1 gives the 0/1
-      // result the scalar path produces.
-      AVX2_LOOP(_mm256_and_si256(_mm256_cmpeq_epi64(va, vb), ones));
-      return true;
-    case OpCode::Neq:
-      AVX2_LOOP(_mm256_andnot_si256(_mm256_cmpeq_epi64(va, vb), ones));
-      return true;
-    case OpCode::Mux:
-      // blendv picks the second source where the mask's byte high bits are
-      // set; cmpeq(a,0) sets whole 64-bit lanes, so the byte granularity is
-      // consistent. Mask set (sel == 0) -> false value.
-      for (uint32_t i = 0; i < n; i += 4) {
-        const __m256i sel = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i tv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        const __m256i fv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i));
-        const __m256i isZero = _mm256_cmpeq_epi64(sel, _mm256_setzero_si256());
-        const __m256i vr = _mm256_blendv_epi8(tv, fv, isZero);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i), _mm256_and_si256(vr, dm));
-      }
-      return true;
-    default:
-      return false;
-  }
-#undef AVX2_LOOP
+  laneWide(op, d, a, b, c, n);
 }
 
 }  // namespace essent::core

@@ -1,74 +1,13 @@
-// AVX-512F wide kernels — compiled with -mavx512f (flag-gated in CMake) and
-// entered only after __builtin_cpu_supports("avx512f"). Same op subset as
-// the AVX2 kernel, over 512-bit vectors with mask-register compares; lane
-// strides are multiples of 8 whenever lanes > 1.
-#include <immintrin.h>
-
-#include "core/lane_simd.h"
-#include "sim/op_eval.h"
+// The wide kernel (core/lane_wide.h) compiled with -mavx512f (flag-gated in
+// CMake) and entered only after a __builtin_cpu_supports("avx512f") check,
+// so the rest of the binary stays baseline-ISA clean.
+#include "core/lane_wide.h"
 
 namespace essent::core {
 
-using sim::ExecOp;
-using sim::OpCode;
-
-bool laneWideAvx512(const ExecOp& op, uint64_t* d, const uint64_t* a, const uint64_t* b,
+void laneWideAvx512(const sim::ExecOp& op, uint64_t* d, const uint64_t* a, const uint64_t* b,
                     const uint64_t* c, uint32_t n) {
-  if (n % 8 != 0) return false;
-  if (op.signedOp && op.code != OpCode::Not) return false;
-  const __m512i dm = _mm512_set1_epi64(static_cast<long long>(sim::maskW(op.destW)));
-
-#define AVX512_LOOP(EXPR)                                                 \
-  do {                                                                    \
-    for (uint32_t i = 0; i < n; i += 8) {                                 \
-      const __m512i va = _mm512_loadu_si512(a + i);                       \
-      const __m512i vb = _mm512_loadu_si512(b + i);                       \
-      (void)vb;                                                           \
-      const __m512i vr = (EXPR);                                          \
-      _mm512_storeu_si512(d + i, _mm512_and_si512(vr, dm));               \
-    }                                                                     \
-  } while (0)
-
-  switch (op.code) {
-    case OpCode::And:
-      AVX512_LOOP(_mm512_and_si512(va, vb));
-      return true;
-    case OpCode::Or:
-      AVX512_LOOP(_mm512_or_si512(va, vb));
-      return true;
-    case OpCode::Xor:
-      AVX512_LOOP(_mm512_xor_si512(va, vb));
-      return true;
-    case OpCode::Not:
-      AVX512_LOOP(_mm512_xor_si512(va, _mm512_set1_epi64(-1)));
-      return true;
-    case OpCode::Add:
-      AVX512_LOOP(_mm512_add_epi64(va, vb));
-      return true;
-    case OpCode::Sub:
-      AVX512_LOOP(_mm512_sub_epi64(va, vb));
-      return true;
-    case OpCode::Eq:
-      AVX512_LOOP(_mm512_maskz_set1_epi64(_mm512_cmpeq_epi64_mask(va, vb), 1));
-      return true;
-    case OpCode::Neq:
-      AVX512_LOOP(_mm512_maskz_set1_epi64(_mm512_cmpneq_epi64_mask(va, vb), 1));
-      return true;
-    case OpCode::Mux:
-      for (uint32_t i = 0; i < n; i += 8) {
-        const __m512i sel = _mm512_loadu_si512(a + i);
-        const __m512i tv = _mm512_loadu_si512(b + i);
-        const __m512i fv = _mm512_loadu_si512(c + i);
-        // mask bit set (sel != 0) -> true value.
-        const __mmask8 nz = _mm512_test_epi64_mask(sel, sel);
-        const __m512i vr = _mm512_mask_blend_epi64(nz, fv, tv);
-        _mm512_storeu_si512(d + i, _mm512_and_si512(vr, dm));
-      }
-      return true;
-    default:
-      return false;
-  }
-#undef AVX512_LOOP
+  laneWide(op, d, a, b, c, n);
 }
 
 }  // namespace essent::core

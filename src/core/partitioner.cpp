@@ -11,6 +11,9 @@
 namespace essent::core {
 namespace {
 
+// Fixpoint bound for the sibling phases (B and C).
+constexpr uint32_t kMaxSiblingPasses = 8;
+
 // Incremental partition merger.
 //
 // Maintains the contracted partition graph (with edge multiplicities),
@@ -359,7 +362,7 @@ Partitioning partitionNetlist(const Netlist& nl, const PartitionOptions& opts) {
   // the most cut edges at once, per the paper's heuristic). ---
   if (opts.phaseSmallSiblings && cp > 0) {
     obs::ScopedPhaseTimer phaseTimer("merge-B");
-    for (uint32_t pass = 0; pass < opts.maxPasses; pass++) {
+    for (uint32_t pass = 0; pass < kMaxSiblingPasses; pass++) {
       // sig -> small partitions consuming it.
       std::unordered_map<int32_t, std::vector<int32_t>> consumersBySig;
       for (int32_t p : merger.alivePartitions()) {
@@ -404,7 +407,7 @@ Partitioning partitionNetlist(const Netlist& nl, const PartitionOptions& opts) {
   // maximizing the fraction of input signals in common. ---
   if (opts.phaseAnySibling && cp > 0) {
     obs::ScopedPhaseTimer phaseTimer("merge-C");
-    for (uint32_t pass = 0; pass < opts.maxPasses; pass++) {
+    for (uint32_t pass = 0; pass < kMaxSiblingPasses; pass++) {
       // sig -> all partitions consuming it (any size).
       std::unordered_map<int32_t, std::vector<int32_t>> consumersBySig;
       for (int32_t p : merger.alivePartitions())

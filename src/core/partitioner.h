@@ -32,8 +32,6 @@ struct PartitionOptions {
   bool phaseSingleParent = true;
   bool phaseSmallSiblings = true;
   bool phaseAnySibling = true;
-  // Fixpoint bound for the sibling phases.
-  uint32_t maxPasses = 8;
 };
 
 struct PartitionStats {

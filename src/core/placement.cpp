@@ -7,6 +7,14 @@
 #include "obs/phase_timer.h"
 
 namespace essent::core {
+namespace {
+
+// A chain (critical-path cluster) may grow to the ideal per-thread load
+// times (1 + slack) before the placer splits it for balance; each split
+// costs one cross-thread edge instead of fragmenting the whole chain.
+constexpr double kBalanceSlack = 0.20;
+
+}  // namespace
 
 std::vector<std::pair<int32_t, int32_t>> placementEdges(const CondPartSchedule& sched) {
   std::vector<std::pair<int32_t, int32_t>> edges;
@@ -108,7 +116,7 @@ BspPlacement buildPlacement(const CondPartSchedule& sched, const PlacementOption
   // one per chain edge). Ties always break to the lower schedule position —
   // the placement is deterministic.
   const double cap =
-      (static_cast<double>(totalCost) / static_cast<double>(T)) * (1.0 + opts.balanceSlack);
+      (static_cast<double>(totalCost) / static_cast<double>(T)) * (1.0 + kBalanceSlack);
   std::vector<int32_t> seeds(n);
   for (size_t i = 0; i < n; i++) seeds[i] = static_cast<int32_t>(i);
   std::sort(seeds.begin(), seeds.end(), [&](int32_t a, int32_t b) {

@@ -36,10 +36,6 @@ struct PlacementOptions {
   // Optional per-schedule-position cost estimate (e.g. profiled
   // activations x ops). Empty = static estimate (op count).
   std::vector<uint64_t> partCost;
-  // A chain (critical-path cluster) may grow to the ideal per-thread load
-  // times (1 + slack) before the placer splits it for balance; each split
-  // costs one cross-thread edge instead of fragmenting the whole chain.
-  double balanceSlack = 0.20;
 };
 
 // One BSP super-step: per-thread run lists (schedule positions, ascending).

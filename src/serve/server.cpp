@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/activity_engine.h"
@@ -570,8 +571,9 @@ obs::Json Server::handleRun(const Request& req) {
     farmDoc["total_cycles"] = report.totalCycles;
     farmDoc["wall_seconds"] = report.wallSeconds;
     farmDoc["aggregate_cycles_per_sec"] = report.aggregateCyclesPerSec;
-    farmDoc["p50_ns"] = report.instanceLatency.p50Ns;
-    farmDoc["p99_ns"] = report.instanceLatency.p99Ns;
+    // Whole nanoseconds: the quantiles interpolate inside a histogram bucket.
+    farmDoc["p50_ns"] = static_cast<uint64_t>(std::llround(report.instanceLatency.p50Ns));
+    farmDoc["p99_ns"] = static_cast<uint64_t>(std::llround(report.instanceLatency.p99Ns));
     uint64_t failures = 0;
     obs::Json errors = obs::Json::array();
     for (const core::FarmInstanceResult& r : report.instances)

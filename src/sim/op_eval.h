@@ -14,16 +14,25 @@
 
 namespace essent::sim {
 
-inline uint64_t maskW(uint32_t w) {
+// The helpers evalFastCode uses are always_inline like it: the lane
+// kernel's ISA translation units (-mavx2, -mavx512f) must not emit an
+// out-of-line copy that the linker could hand to baseline-ISA callers.
+[[gnu::always_inline]] inline uint64_t maskW(uint32_t w) {
   return w >= 64 ? ~uint64_t{0} : ((uint64_t{1} << w) - 1);
 }
 
 // Sign-extends the low `w` bits of v to a full int64.
-inline int64_t sx(uint64_t v, uint32_t w) {
+[[gnu::always_inline]] inline int64_t sx(uint64_t v, uint32_t w) {
   if (w == 0) return 0;
   if (w >= 64) return static_cast<int64_t>(v);
   uint64_t m = uint64_t{1} << (w - 1);
   return static_cast<int64_t>((v ^ m) - m);
+}
+
+// sx as a word: two's-complement arithmetic on it wraps where int64 would
+// overflow.
+[[gnu::always_inline]] inline uint64_t sxw(uint64_t v, uint32_t w) {
+  return static_cast<uint64_t>(sx(v, w));
 }
 
 // Loads a signal's current value as a BitVec (slow path only).
@@ -35,30 +44,38 @@ void storeBV(SimState& st, const Layout& lay, const SimIR& ir, int32_t sig, cons
 // Out-of-line evaluation for multi-word operands.
 void evalExecOpSlow(const SimIR& ir, const Layout& lay, SimState& st, const ExecOp& op);
 
-// Fast-path semantics for one single-word op, shared by the scalar engines
-// (evalExecOp below) and the lane engine's per-lane kernels. `c` is read
-// only by Mux; MemRead is NOT handled here (it needs memory state — callers
-// route it separately). The result is unmasked: callers apply
-// `& maskW(op.destW)` before storing.
-inline uint64_t evalFastScalar(const SimIR& ir, const ExecOp& op, uint64_t a, uint64_t b,
-                               uint64_t c) {
+// Single-word semantics of every op but Const and MemRead: the fast path,
+// where all operand and result widths fit one 64-bit word. This switch is
+// the one C++ statement of those semantics (the emitter's text templates
+// and the lane engine's bit-sliced Packed1 kernel restate a few). The
+// scalar engines reach it through evalFastScalar below; the lane engine's
+// wide kernel (core/lane_wide.h) calls it per lane with `code` a
+// compile-time constant, so the switch folds away and the host compiler
+// vectorizes the loop — hence always_inline. `c` is read only by Mux.
+// Signed arithmetic wraps on sign-extended words, so no operand value is
+// undefined behaviour. The result is unmasked: callers apply
+// `& maskW(op.destW)` before storing. Const and MemRead return 0; their
+// callers evaluate them (they need the const pool or memory state).
+[[gnu::always_inline]] inline uint64_t evalFastCode(OpCode code, const ExecOp& op, uint64_t a,
+                                                    uint64_t b, uint64_t c) {
   uint64_t r = 0;
-  switch (op.code) {
+  switch (code) {
     case OpCode::Add:
-      r = op.signedOp ? static_cast<uint64_t>(sx(a, op.aW) + sx(b, op.bW)) : a + b;
+      r = op.signedOp ? sxw(a, op.aW) + sxw(b, op.bW) : a + b;
       break;
     case OpCode::Sub:
-      r = op.signedOp ? static_cast<uint64_t>(sx(a, op.aW) - sx(b, op.bW)) : a - b;
+      r = op.signedOp ? sxw(a, op.aW) - sxw(b, op.bW) : a - b;
       break;
     case OpCode::Mul:
-      r = op.signedOp
-              ? static_cast<uint64_t>(sx(a, op.aW)) * static_cast<uint64_t>(sx(b, op.bW))
-              : a * b;
+      r = op.signedOp ? sxw(a, op.aW) * sxw(b, op.bW) : a * b;
       break;
     case OpCode::Div:
       if (b == 0) r = 0;
-      else if (op.signedOp) r = static_cast<uint64_t>(sx(a, op.aW) / sx(b, op.bW));
-      else r = a / b;
+      else if (op.signedOp) {
+        // INT64_MIN / -1 overflows (SIGFPE on x86); dividing by -1 negates.
+        const int64_t sb = sx(b, op.bW);
+        r = sb == -1 ? 0 - sxw(a, op.aW) : static_cast<uint64_t>(sx(a, op.aW) / sb);
+      } else r = a / b;
       break;
     case OpCode::Rem:
       if (b == 0) r = a;  // x % 0 := x truncated (matches bvops::rem)
@@ -96,16 +113,13 @@ inline uint64_t evalFastScalar(const SimIR& ir, const ExecOp& op, uint64_t a, ui
       else r = b >= op.aW ? 0 : a >> b;
       break;
     case OpCode::And:
-      r = (op.signedOp ? static_cast<uint64_t>(sx(a, op.aW)) & static_cast<uint64_t>(sx(b, op.bW))
-                       : a & b);
+      r = op.signedOp ? sxw(a, op.aW) & sxw(b, op.bW) : a & b;
       break;
     case OpCode::Or:
-      r = (op.signedOp ? static_cast<uint64_t>(sx(a, op.aW)) | static_cast<uint64_t>(sx(b, op.bW))
-                       : a | b);
+      r = op.signedOp ? sxw(a, op.aW) | sxw(b, op.bW) : a | b;
       break;
     case OpCode::Xor:
-      r = (op.signedOp ? static_cast<uint64_t>(sx(a, op.aW)) ^ static_cast<uint64_t>(sx(b, op.bW))
-                       : a ^ b);
+      r = op.signedOp ? sxw(a, op.aW) ^ sxw(b, op.bW) : a ^ b;
       break;
     case OpCode::Cat:
       r = op.bW >= 64 ? b : ((a << op.bW) | b);
@@ -122,15 +136,13 @@ inline uint64_t evalFastScalar(const SimIR& ir, const ExecOp& op, uint64_t a, ui
     case OpCode::Xorr:
       r = static_cast<uint64_t>(__builtin_parityll(a));
       break;
-    case OpCode::Cvt:
-      r = op.signedOp ? static_cast<uint64_t>(sx(a, op.aW)) : a;
-      break;
     case OpCode::Neg:
-      r = op.signedOp ? static_cast<uint64_t>(-sx(a, op.aW)) : (~a + 1);
+      r = 0 - (op.signedOp ? sxw(a, op.aW) : a);
       break;
+    case OpCode::Cvt:
     case OpCode::Pad:
     case OpCode::Copy:
-      r = op.signedOp ? static_cast<uint64_t>(sx(a, op.aW)) : a;
+      r = op.signedOp ? sxw(a, op.aW) : a;
       break;
     case OpCode::Shl:
       r = op.imm0 >= 64 ? 0 : a << op.imm0;
@@ -146,21 +158,25 @@ inline uint64_t evalFastScalar(const SimIR& ir, const ExecOp& op, uint64_t a, ui
       r = op.imm0 == 0 ? 0 : a >> (op.aW - op.imm0);
       break;
     case OpCode::Tail:
-      r = a;  // masked to destW below
+      r = a;  // masked to destW by the caller
       break;
-    case OpCode::Mux: {
-      uint64_t tv = op.signedOp ? static_cast<uint64_t>(sx(b, op.bW)) : b;
-      uint64_t fv = op.signedOp ? static_cast<uint64_t>(sx(c, op.cW)) : c;
-      r = a != 0 ? tv : fv;
+    case OpCode::Mux:
+      if (op.signedOp) r = a != 0 ? sxw(b, op.bW) : sxw(c, op.cW);
+      else r = a != 0 ? b : c;
       break;
-    }
     case OpCode::Const:
-      r = ir.constPool[static_cast<size_t>(op.imm0)].word(0);
-      break;
     case OpCode::MemRead:
-      break;  // handled by the caller (needs memory state)
+      break;  // evaluated by the caller
   }
   return r;
+}
+
+// evalFastCode plus Const, for the scalar engines. MemRead is still the
+// caller's (it needs memory state).
+inline uint64_t evalFastScalar(const SimIR& ir, const ExecOp& op, uint64_t a, uint64_t b,
+                               uint64_t c) {
+  if (op.code == OpCode::Const) return ir.constPool[static_cast<size_t>(op.imm0)].word(0);
+  return evalFastCode(op.code, op, a, b, c);
 }
 
 inline void evalExecOp(const SimIR& ir, const Layout& lay, SimState& st, const ExecOp& op) {

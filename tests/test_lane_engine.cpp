@@ -1,11 +1,13 @@
 // Lane-engine suite (`ctest -L lane`): SoA layout invariants, per-lane
 // bit-identity against solo ActivityEngine runs under divergent stimulus,
 // forced-tier SIMD equivalence (portable vs AVX2 vs AVX-512 must agree to
-// the bit), early-stop lane retirement, snapshot/randomize compatibility
+// the bit, with each other and with the scalar evaluator on every fast op),
+// early-stop lane retirement, snapshot/randomize compatibility
 // with the scalar layout, and the SimFarm lane-group path (blocks,
 // remainders, per-lane error fallback).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +22,7 @@
 #include "sim/compile.h"
 #include "sim/engine_factory.h"
 #include "sim/harness.h"
+#include "sim/op_eval.h"
 
 namespace {
 
@@ -365,6 +368,80 @@ TEST(LaneSimd, TierNamesAndClamping) {
               got == core::LaneSimdTier::Portable);
   core::laneSimdForceTier(core::LaneSimdTier::Portable);
   EXPECT_EQ(core::laneSimdTier(), core::LaneSimdTier::Portable);
+  core::laneSimdResetTier();
+}
+
+// Every tier's wide kernel against the scalar evaluator, op by op: every
+// fast OpCode (Const and MemRead are the lane engine's own), signed and
+// unsigned, at widths 1..64, on edge operands (0, 1, all-ones = -1, the sign
+// bit, shift amounts at and past the width), at strides 1, 8 and 64. Each
+// call must write exactly n lanes.
+TEST(LaneSimd, EveryTierMatchesScalarOnEveryFastOp) {
+  using sim::OpCode;
+  const sim::SimIR ir;  // evalFastScalar reads it only for Const
+  constexpr uint64_t kSentinel = 0xdeadbeefcafef00dULL;
+  for (core::LaneSimdTier tier : {core::LaneSimdTier::Portable, core::LaneSimdTier::Avx2,
+                                  core::LaneSimdTier::Avx512}) {
+    core::laneSimdForceTier(tier);
+    const core::LaneWideFn kernel = core::laneWideKernel();
+    const std::string tierName = core::laneSimdBackendName();
+    size_t mismatches = 0;
+    for (int k = 0; k <= static_cast<int>(OpCode::MemRead); k++) {
+      const auto code = static_cast<OpCode>(k);
+      if (code == OpCode::Const || code == OpCode::MemRead) continue;
+      for (uint32_t w : {1u, 7u, 32u, 63u, 64u}) {
+        const uint64_t m = sim::maskW(w);
+        std::vector<uint64_t> values = {0, 1, m, uint64_t{1} << (w - 1), w, w + 1, 63, 64,
+                                        0x5a5a5a5a5a5a5a5aULL};
+        for (uint64_t& v : values) v &= m;
+        // (imm0, imm1): shift amounts for Shl/Shr, a kept-bit count for
+        // Head, hi/lo for Bits; the other ops ignore them.
+        std::vector<std::pair<int64_t, int64_t>> imms = {{0, 0}};
+        if (code == OpCode::Shl || code == OpCode::Shr)
+          imms = {{0, 0}, {1, 0}, {w - 1, 0}, {w, 0}, {w + 1, 0}, {64, 0}, {100, 0}};
+        else if (code == OpCode::Head)
+          imms = {{1, 0}, {w / 2 + 1, 0}, {w, 0}};
+        else if (code == OpCode::Bits)
+          imms = {{w - 1, 0}, {w - 1, w - 1}, {w / 2, w / 4}};
+        for (bool isSigned : {false, true})
+          for (auto [imm0, imm1] : imms) {
+            sim::ExecOp op{};
+            op.code = code;
+            op.signedOp = isSigned;
+            op.fast = true;
+            op.destW = op.aW = op.bW = op.cW = w;
+            op.imm0 = imm0;
+            op.imm1 = imm1;
+            // Every (a, b, c) triple of edge values, n lanes per call.
+            const size_t nv = values.size(), triples = nv * nv * nv;
+            for (uint32_t n : {1u, 8u, 64u}) {
+              std::vector<uint64_t> a(n), b(n), c(n), d(n + 8);
+              for (size_t t0 = 0; t0 < triples; t0 += n) {
+                for (uint32_t l = 0; l < n; l++) {
+                  const size_t t = (t0 + l) % triples;
+                  a[l] = values[t / (nv * nv)];
+                  b[l] = values[(t / nv) % nv];
+                  c[l] = values[t % nv];
+                }
+                std::fill(d.begin(), d.end(), kSentinel);
+                kernel(op, d.data(), a.data(), b.data(), c.data(), n);
+                for (uint32_t l = 0; l < n + 8; l++) {
+                  const uint64_t want =
+                      l < n ? sim::evalFastScalar(ir, op, a[l], b[l], c[l]) & m : kSentinel;
+                  if (d[l] == want || mismatches++ > 0) continue;  // report the first
+                  ADD_FAILURE() << tierName << " " << sim::opCodeName(code)
+                                << (isSigned ? " signed" : " unsigned") << " w=" << w
+                                << " imm=" << imm0 << "," << imm1 << " n=" << n << " lane " << l
+                                << ": a=" << a[l % n] << " b=" << b[l % n] << " c=" << c[l % n]
+                                << " got " << d[l] << " want " << want;
+                }
+              }
+            }
+          }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << tierName;
+  }
   core::laneSimdResetTier();
 }
 

@@ -14,10 +14,15 @@
 //
 // Options:
 //   -o FILE               output file for --emit-cpp / --dot
-//   --engine E            full | event | ccss | par    (--run; default ccss;
-//                         long aliases full-cycle|event-driven|essent-ccss|
-//                         essent-ccss-par also accepted — sim::parseEngineKind
-//                         is the single name table shared with essent_fuzz)
+//   --shards N            with --emit-cpp: write a header plus N
+//                         translation units next to the -o path
+//   --allow-comb-loops    evaluate each combinational loop as a supernode
+//                         iterated to convergence instead of rejecting it
+//   --engine E            full | event | ccss | par | lane    (--run;
+//                         default ccss; long aliases full-cycle|event-driven|
+//                         essent-ccss|essent-ccss-par also accepted —
+//                         sim::parseEngineKind is the single name table
+//                         shared with essent_fuzz)
 //   --baseline            emit/run with all optimizations disabled
 //   --no-hints            disable branch hints in generated code
 //   --cp N                partitioner small threshold C_p (default 8)
@@ -38,6 +43,10 @@
 //                         clamped to hardware concurrency and to the
 //                         placement's useful width with W0601 warnings);
 //                         with --batch, the farm worker count instead
+//   --lanes N             with --run: simulate N SIMD lanes (1..64) in one
+//                         lane engine (selects the lane engine; default 4
+//                         lanes with --engine lane); with --batch, claim
+//                         instances in lane groups of N
 //   --batch N             with --run: simulate N concurrent instances that
 //                         share one compiled schedule (core::SimFarm) and
 //                         report aggregate farm throughput
