@@ -34,12 +34,13 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "design %s: %d nodes, %lld edges\n"
                "MFFC decomposition: %zu partitions\n"
+               "after the oversized-cone cut (%zu sub-cones): %zu partitions\n"
                "after phase A (single-parent merges, %zu merges): %zu partitions\n"
                "after phase B (small-sibling merges, %zu merges): %zu partitions\n"
                "final (phase C: %zu merges, %zu rejected by external-path test): %zu "
                "partitions, %lld cut edges\n",
                which, nl.g.numNodes(), static_cast<long long>(nl.g.numEdges()),
-               p.stats.initialParts, p.stats.mergesA, p.stats.afterSingleParent,
+               p.stats.initialParts, p.stats.conesCut, p.stats.afterCut, p.stats.mergesA, p.stats.afterSingleParent,
                p.stats.mergesB, p.stats.afterSmallSiblings, p.stats.mergesC,
                p.stats.rejectedMerges, p.stats.finalParts,
                static_cast<long long>(p.stats.cutEdges));

@@ -51,11 +51,16 @@ std::vector<NodeId> mffcOf(const DiGraph& g, NodeId root) {
   return growCone(g, root, scratch, [](NodeId) { return true; });
 }
 
-std::vector<int32_t> mffcDecompose(const DiGraph& g, int32_t* numParts) {
+std::vector<int32_t> mffcDecompose(const DiGraph& g, int32_t* numParts,
+                                   std::vector<NodeId>* coneOrder) {
   NodeId n = g.numNodes();
   std::vector<int32_t> partOf(static_cast<size_t>(n), -1);
   std::vector<bool> scratch(static_cast<size_t>(n), false);
   int32_t next = 0;
+  if (coneOrder) {
+    coneOrder->clear();
+    coneOrder->reserve(static_cast<size_t>(n));
+  }
 
   auto order = g.topoSort();
   if (!order) throw std::logic_error("mffcDecompose requires an acyclic graph");
@@ -70,6 +75,7 @@ std::vector<int32_t> mffcDecompose(const DiGraph& g, int32_t* numParts) {
     auto members = growCone(g, v, scratch,
                             [&](NodeId u) { return partOf[static_cast<size_t>(u)] == -1; });
     for (NodeId m : members) partOf[static_cast<size_t>(m)] = next;
+    if (coneOrder) coneOrder->insert(coneOrder->end(), members.begin(), members.end());
     next++;
   }
   if (numParts) *numParts = next;

@@ -17,7 +17,11 @@ namespace essent::core {
 // Decomposes `g` into MFFCs, crawling upward from the sink nodes (per the
 // paper, sinks are typically state-element writes or external outputs).
 // Returns the partition id of every node; ids are dense [0, numParts).
-std::vector<int32_t> mffcDecompose(const graph::DiGraph& g, int32_t* numParts);
+// When `coneOrder` is given it receives every node grouped by cone in id
+// order; within a cone the root comes first and every member comes after
+// all of its consumers (the order the cone grew in).
+std::vector<int32_t> mffcDecompose(const graph::DiGraph& g, int32_t* numParts,
+                                   std::vector<graph::NodeId>* coneOrder = nullptr);
 
 // The MFFC rooted at a single node (for tests / inspection): all ancestors
 // whose every fanout path leads back into the cone.

@@ -21,6 +21,8 @@ obs::Json designSummaryJson(const sim::SimIR& ir) {
 obs::Json partitionStatsJson(const PartitionStats& stats) {
   obs::Json j = obs::Json::object();
   j["initial_parts"] = stats.initialParts;
+  j["cones_cut"] = stats.conesCut;
+  j["after_cut"] = stats.afterCut;
   j["after_single_parent"] = stats.afterSingleParent;
   j["after_small_siblings"] = stats.afterSmallSiblings;
   j["final_parts"] = stats.finalParts;

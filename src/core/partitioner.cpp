@@ -14,6 +14,125 @@ namespace {
 // Fixpoint bound for the sibling phases (B and C).
 constexpr uint32_t kMaxSiblingPasses = 8;
 
+// Step 1b sizes, in netlist nodes: the paper's C_p (8) as the smallest
+// sub-cone worth its own partition, and twice that as the smallest cone
+// worth cutting. Fixed rather than tied to PartitionOptions::smallThreshold
+// so C_p keeps its paper meaning as the merge floor (C_p = 0 still cuts).
+constexpr uint32_t kMinCutSubcone = 8;
+constexpr uint32_t kMinCutCone = 2 * kMinCutSubcone;
+// Steps an LCA walk may take per node while building a cone's
+// post-dominator tree. A node whose walk runs out hangs off the cone's root
+// instead, which can only make the step cut less; the bound keeps the step
+// linear in the cone's edges.
+constexpr uint32_t kMaxLcaSteps = 64;
+
+// Step 1b: cuts oversized MFFCs at independent sub-cones. Each cone of at
+// least kMinCutCone nodes gets its post-dominator tree (parent = the lowest
+// member every path to the root passes through), so a member's subtree is
+// its own fanout-free sub-cone. Walking the tree bottom-up, a non-root
+// member u becomes the root of a new partition when what is left of its
+// subtree has at least kMinCutSubcone nodes and no node of the subtree
+// reads a cone node outside it. Edges between the pieces then only run
+// from a subtree to an ancestor's piece, and only the cone's root feeds
+// other partitions, so the partition graph stays acyclic.
+//
+// `coneOrder` is mffcDecompose's: cones in id order, each root first and
+// every member after all of its consumers. Returns the sub-cones split off;
+// the new partitions get ids from numParts upward.
+size_t cutOversizedCones(const graph::DiGraph& g, const std::vector<graph::NodeId>& coneOrder,
+                         std::vector<int32_t>& partOf, int32_t& numParts) {
+  size_t cuts = 0;
+  std::vector<int32_t> local(partOf.size(), -1);  // node -> index in its cone
+  std::vector<int32_t> parent, size, pre, nextSlot, remaining, lo, hi;
+  std::vector<uint8_t> cut;
+  for (size_t begin = 0, end = 0; begin < coneOrder.size(); begin = end) {
+    const int32_t cone = partOf[static_cast<size_t>(coneOrder[begin])];
+    end = begin + 1;
+    while (end < coneOrder.size() && partOf[static_cast<size_t>(coneOrder[end])] == cone) end++;
+    const int32_t k = static_cast<int32_t>(end - begin);
+    if (k < static_cast<int32_t>(kMinCutCone)) continue;
+    auto node = [&](int32_t i) { return coneOrder[begin + static_cast<size_t>(i)]; };
+    for (int32_t i = 0; i < k; i++) local[static_cast<size_t>(node(i))] = i;
+
+    // Post-dominator tree. Every consumer of member i comes before i, so a
+    // parent's index is below its children's and an LCA walk can always
+    // step the larger index up.
+    parent.assign(static_cast<size_t>(k), 0);
+    for (int32_t i = 1; i < k; i++) {
+      int32_t lca = -1;
+      uint32_t steps = 0;
+      for (graph::NodeId c : g.outNeighbors(node(i))) {
+        int32_t j = local[static_cast<size_t>(c)];
+        if (lca < 0) {
+          lca = j;
+          continue;
+        }
+        while (lca != j && steps <= kMaxLcaSteps) {
+          if (lca > j) lca = parent[static_cast<size_t>(lca)];
+          else j = parent[static_cast<size_t>(j)];
+          steps++;
+        }
+        if (steps > kMaxLcaSteps) {
+          lca = 0;
+          break;
+        }
+      }
+      parent[static_cast<size_t>(i)] = lca;
+    }
+
+    // Number the tree so every subtree is the interval [pre, pre + size).
+    size.assign(static_cast<size_t>(k), 1);
+    for (int32_t i = k - 1; i > 0; i--)
+      size[static_cast<size_t>(parent[static_cast<size_t>(i)])] += size[static_cast<size_t>(i)];
+    pre.assign(static_cast<size_t>(k), 0);
+    nextSlot.assign(static_cast<size_t>(k), 1);
+    for (int32_t i = 1; i < k; i++) {
+      int32_t p = parent[static_cast<size_t>(i)];
+      pre[static_cast<size_t>(i)] = nextSlot[static_cast<size_t>(p)];
+      nextSlot[static_cast<size_t>(p)] += size[static_cast<size_t>(i)];
+      nextSlot[static_cast<size_t>(i)] = pre[static_cast<size_t>(i)] + 1;
+    }
+
+    // Bottom-up: `remaining` counts the subtree minus the pieces already
+    // cut below; lo/hi bound the tree numbers of the cone nodes it reads.
+    remaining.assign(static_cast<size_t>(k), 1);
+    lo.assign(static_cast<size_t>(k), k);
+    hi.assign(static_cast<size_t>(k), -1);
+    cut.assign(static_cast<size_t>(k), 0);
+    for (int32_t i = k - 1; i > 0; i--) {
+      const size_t ui = static_cast<size_t>(i);
+      for (graph::NodeId w : g.inNeighbors(node(i))) {
+        if (partOf[static_cast<size_t>(w)] != cone) continue;
+        int32_t pw = pre[static_cast<size_t>(local[static_cast<size_t>(w)])];
+        lo[ui] = std::min(lo[ui], pw);
+        hi[ui] = std::max(hi[ui], pw);
+      }
+      bool independent = lo[ui] >= pre[ui] && hi[ui] < pre[ui] + size[ui];
+      if (remaining[ui] >= static_cast<int32_t>(kMinCutSubcone) && independent) {
+        cut[ui] = 1;
+        continue;
+      }
+      const size_t up = static_cast<size_t>(parent[ui]);
+      remaining[up] += remaining[ui];
+      lo[up] = std::min(lo[up], lo[ui]);
+      hi[up] = std::max(hi[up], hi[ui]);
+    }
+
+    // Parents come first, so each node's parent already has its piece.
+    for (int32_t i = 1; i < k; i++) {
+      const size_t ui = static_cast<size_t>(i);
+      int32_t& part = partOf[static_cast<size_t>(node(i))];
+      if (cut[ui]) {
+        part = numParts++;
+        cuts++;
+      } else {
+        part = partOf[static_cast<size_t>(node(parent[ui]))];
+      }
+    }
+  }
+  return cuts;
+}
+
 // Incremental partition merger.
 //
 // Maintains the contracted partition graph (with edge multiplicities),
@@ -290,11 +409,19 @@ Partitioning partitionNetlist(const Netlist& nl, const PartitionOptions& opts) {
 
   int32_t numParts = 0;
   std::vector<int32_t> initial;
+  std::vector<graph::NodeId> coneOrder;
   {
     obs::ScopedPhaseTimer phaseTimer("mffc");
-    initial = mffcDecompose(nl.g, &numParts);
+    initial = mffcDecompose(nl.g, &numParts, &coneOrder);
   }
   stats.initialParts = static_cast<size_t>(numParts);
+
+  // --- Step 1b: cut oversized cones at independent sub-cones. ---
+  {
+    obs::ScopedPhaseTimer phaseTimer("cut");
+    stats.conesCut = cutOversizedCones(nl.g, coneOrder, initial, numParts);
+  }
+  stats.afterCut = static_cast<size_t>(numParts);
 
   Merger merger(nl, std::move(initial), numParts);
 
@@ -469,7 +596,7 @@ Partitioning finePartitioning(const Netlist& nl) {
   }
   out.partGraph = graph::condense(nl.g, out.partOf, n);
   out.schedule = *out.partGraph.topoSort();
-  out.stats.initialParts = out.stats.finalParts = static_cast<size_t>(n);
+  out.stats.initialParts = out.stats.afterCut = out.stats.finalParts = static_cast<size_t>(n);
   return out;
 }
 
@@ -481,7 +608,7 @@ Partitioning monolithicPartitioning(const Netlist& nl) {
   for (int32_t i = 0; i < n; i++) out.members[0].push_back(i);
   out.partGraph = graph::condense(nl.g, out.partOf, 1);
   out.schedule = {0};
-  out.stats.initialParts = out.stats.finalParts = 1;
+  out.stats.initialParts = out.stats.afterCut = out.stats.finalParts = 1;
   return out;
 }
 

@@ -1,7 +1,8 @@
 // The novel acyclic graph partitioner (paper §IV).
 //
-// Bootstraps from an MFFC decomposition, then greedily merges partitions in
-// three phases (Figure 4):
+// Bootstraps from an MFFC decomposition (step 1), cuts oversized cones
+// (step 1b, below), then greedily merges partitions in three phases
+// (Figure 4):
 //   A. merge single-parent partitions into their parents (always legal);
 //   B. merge small partitions (< C_p nodes) with small siblings, prioritized
 //      by the number of cut edges a merge eliminates;
@@ -15,6 +16,17 @@
 //
 // C_p is the single, design-insensitive tuning parameter; the paper selects
 // C_p = 8 (reproduced by bench_fig6_cp_sweep).
+//
+// Step 1b deviates from the paper. An MFFC can be thousands of nodes: a
+// status word that XORs every accelerator's result pulls every idle
+// accelerator's reduction tree into one cone, and that cone then re-runs
+// whenever any one input changes. So every cone of at least 16 nodes is cut
+// at its independent sub-cones: a non-root node whose own fanout-free
+// sub-cone has at least 8 nodes (C_p's paper value, but fixed) and reads
+// nothing else in the cone becomes the root of a partition of its own,
+// bottom-up. The pieces feed only their ancestors in the cone, so the
+// partition graph stays acyclic. The step is linear in the cone's edges and
+// has no option; C_p = 0 still cuts.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +48,8 @@ struct PartitionOptions {
 
 struct PartitionStats {
   size_t initialParts = 0;    // after MFFC decomposition
+  size_t conesCut = 0;        // sub-cones split off oversized cones (step 1b)
+  size_t afterCut = 0;        // initialParts + conesCut
   size_t afterSingleParent = 0;
   size_t afterSmallSiblings = 0;
   size_t finalParts = 0;
@@ -57,7 +71,8 @@ struct Partitioning {
   size_t numPartitions() const { return members.size(); }
 };
 
-// Runs the full pipeline: MFFC decomposition + merge phases + condensation.
+// Runs the full pipeline: MFFC decomposition + oversized-cone cut + merge
+// phases + condensation.
 // The result's partGraph is guaranteed acyclic (validated internally;
 // throws std::logic_error if the invariant is ever violated).
 Partitioning partitionNetlist(const Netlist& nl, const PartitionOptions& opts = {});

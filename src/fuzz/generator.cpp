@@ -239,6 +239,59 @@ struct ModGen {
       emitNode(v.ref, v.width, v.sgn);
     }
   }
+
+  // One or two XOR or OR trees, each over 16-24 fresh registers and folded
+  // into one named node; two trees are combined into a third. Every tree
+  // node has one consumer, so the trees are one large fanout-free cone
+  // whose sub-trees the partitioner cuts off. Sometimes the first tree's
+  // first pair is a named node that also feeds the second tree: then
+  // neither tree is independent and both must stay in the cone. Some banks
+  // are shift chains (each register loads the one before), which makes
+  // registers load other registers with no logic between. Returns the
+  // final node.
+  Val emitReductionTrees() {
+    const uint32_t w = pickWidth(std::min(cap, 64u));
+    const char* op = rng.nextBool() ? "xor" : "or";
+    const uint32_t trees = 1 + static_cast<uint32_t>(rng.nextBelow(2));
+    const bool shareLeaf = trees == 2 && rng.nextChance(0.5);
+    std::string shared;
+    std::vector<std::string> roots;
+    for (uint32_t t = 0; t < trees; t++) {
+      const uint32_t n = 16 + static_cast<uint32_t>(rng.nextBelow(9));
+      const bool chain = rng.nextChance(0.3);
+      std::vector<std::string> layer;
+      for (uint32_t i = 0; i < n; i++) {
+        std::string reg = strfmt("q%u_%u", t, i);
+        if (rng.nextChance(0.5))
+          body += strfmt("    reg %s : UInt<%u>, clock with : (reset => (reset, UInt<%u>(0)))\n",
+                         reg.c_str(), w, w);
+        else
+          body += strfmt("    reg %s : UInt<%u>, clock\n", reg.c_str(), w);
+        std::string next = chain && i > 0 ? layer.back() : fit(pick(), w, false).ref;
+        body += strfmt("    %s <= %s\n", reg.c_str(), next.c_str());
+        layer.push_back(reg);
+      }
+      if (shareLeaf && t == 0) {
+        shared = strfmt("n%u", nextId++);
+        body += strfmt("    node %s = %s(%s, %s)\n", shared.c_str(), op, layer[0].c_str(),
+                       layer[1].c_str());
+        layer.erase(layer.begin(), layer.begin() + 2);
+        layer.insert(layer.begin(), shared);
+      } else if (shareLeaf) {
+        layer[0] = strfmt("%s(%s, %s)", op, layer[0].c_str(), shared.c_str());
+      }
+      while (layer.size() > 1) {
+        std::vector<std::string> up;
+        for (size_t i = 0; i + 1 < layer.size(); i += 2)
+          up.push_back(strfmt("%s(%s, %s)", op, layer[i].c_str(), layer[i + 1].c_str()));
+        if (layer.size() % 2) up.push_back(layer.back());
+        layer = std::move(up);
+      }
+      roots.push_back(emitNode(layer[0], w, false).ref);
+    }
+    if (trees == 1) return Val{roots[0], w, false};
+    return emitNode(strfmt("%s(%s, %s)", op, roots[0].c_str(), roots[1].c_str()), w, false);
+  }
 };
 
 // A generated sub-module's interface, for instantiation by the top module.
@@ -386,6 +439,10 @@ std::string generateCircuit(uint64_t seed, const GenOptions& opts) {
   uint32_t firstHalf = opts.exprNodes / 2;
   g.emitExprNodes(firstHalf);
 
+  // Wide reduction trees, always observed through an output of their own.
+  std::vector<Val> reductions;
+  if (rng.nextChance(0.3)) reductions.push_back(g.emitReductionTrees());
+
   // Memories.
   uint32_t memId = 0;
   if (opts.allowMems && rng.nextChance(0.7)) {
@@ -488,6 +545,10 @@ std::string generateCircuit(uint64_t seed, const GenOptions& opts) {
     outPorts += strfmt("    output rout%zu : %s<%u>\n", r, regs[r].sgn ? "SInt" : "UInt",
                        regs[r].width);
     outConnects += strfmt("    rout%zu <= %s\n", r, regs[r].name.c_str());
+  }
+  for (size_t r = 0; r < reductions.size(); r++) {
+    outPorts += strfmt("    output red%zu : UInt<%u>\n", r, reductions[r].width);
+    outConnects += strfmt("    red%zu <= %s\n", r, reductions[r].ref.c_str());
   }
 
   return "circuit Fuzz :\n" + childText + "  module Fuzz :\n" + ports + outPorts + g.body +

@@ -10,7 +10,10 @@
 //    aliasing, and enable toggling;
 //  * 0-2 combinational or registered sub-modules instantiated one or more
 //    times each (exercises the flattening pass);
-//  * optional printf side effects (exercises print-buffer comparison).
+//  * optional printf side effects (exercises print-buffer comparison);
+//  * optional wide XOR/OR reduction trees over 16+ registers, one named node
+//    per tree (exercises the partitioner's oversized-cone cut, with and
+//    without a shared node between two trees, and register shift chains).
 //
 // When `allowWide` is false every intermediate signal is capped at 64 bits,
 // which keeps the circuit eligible for the compiled codegen engine; wide

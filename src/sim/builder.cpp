@@ -312,6 +312,12 @@ class Builder {
       nextVal = muxSig;
     } else {
       nextVal = copyTo(rhs, ir_.signals[regSig].width, ir_.signals[regSig].isSigned);
+      // A register loaded straight from another register (a shift chain, a
+      // swap) reads it through a Copy, for the reason combSnapshot gives:
+      // engines write registers one at a time, and a write that read a
+      // register signal directly could see that register's new value.
+      if (ir_.signals[static_cast<size_t>(nextVal)].kind == SigKind::Register)
+        nextVal = combSnapshot(nextVal);
     }
     ir_.regs.push_back(RegInfo{regSig, nextVal});
     pr.connected = true;

@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "bank_reduction.h"
 #include "core/activity_engine.h"
+#include "core/lane_engine.h"
+#include "core/parallel_engine.h"
 #include "designs/blocks.h"
 #include "designs/gcd.h"
 #include "sim/compile.h"
@@ -325,6 +328,73 @@ TEST(WakeBits, SharedTestAndClearTouchesOnlyItsBit) {
   EXPECT_FALSE(support::testAndClearWakeBitShared(bits, 66));
   EXPECT_EQ(bits[1], support::wakeBitOf(68));
   EXPECT_EQ(bits[0], 0u);
+}
+
+// Partitioner step 1b seen from the engine: in the 8-bank XOR reduction
+// only the toggling bank's tree and the output path run; the idle banks'
+// trees, which share the output's MFFC, stay asleep. Full-cycle, CCSS,
+// BSP and lane engines agree on the output every cycle, and the CCSS-family
+// engines on every work counter.
+TEST(ActivityEngine, IdleSubconesStayAsleep) {
+  using tests::kReductionBanks;
+  auto design = sim::CompiledDesign::compile(sim::buildFromFirrtl(tests::bankReductionFirrtl()));
+  const SimIR& ir = design->ir;
+  const core::Netlist nl = core::Netlist::build(ir);
+  std::vector<size_t> treeOps;
+  size_t allTreeOps = 0;
+  for (int k = 0; k < kReductionBanks; k++) {
+    treeOps.push_back(tests::bankTreeOps(ir, nl, k).size());
+    allTreeOps += treeOps.back();
+  }
+  const size_t outputPathOps = ir.ops.size() - allTreeOps;
+
+  auto ccss = CompiledCcss::compile(design, ScheduleOptions{});
+  FullCycleEngine full(design);
+  ActivityEngine serial(ccss);
+  ParallelActivityEngine bsp(ccss, 2);
+  LaneEngine lanes(ccss, 2);
+  ActivityEngine soloLane1(ccss);  // lane 1's reference: a different bank toggles
+  const int bank = 3, lane1Bank = 6;
+  auto drive = [](sim::Engine& e, int toggling, uint64_t cycle) {
+    for (int k = 0; k < kReductionBanks; k++)
+      for (int i = 0; i < tests::kReductionBankRegs; i++)
+        e.poke(tests::bankInput(k, i), k == toggling ? (cycle * 0x9e37 + i * 0x111 + 1) & 0xffff : 0);
+  };
+  std::vector<sim::Engine*> lane0Group = {&full, &serial, &bsp, &lanes.lane(0)};
+  uint64_t before = 0;
+  for (uint64_t c = 0; c < 64; c++) {
+    for (sim::Engine* e : lane0Group) drive(*e, bank, c);
+    drive(lanes.lane(1), lane1Bank, c);
+    drive(soloLane1, lane1Bank, c);
+    full.tick();
+    serial.tick();
+    bsp.tick();
+    lanes.tick();
+    soloLane1.tick();
+    for (sim::Engine* e : lane0Group)
+      ASSERT_EQ(e->peek("out"), full.peek("out")) << e->name() << " cycle " << c;
+    ASSERT_EQ(lanes.lane(1).peek("out"), soloLane1.peek("out")) << "lane 1 cycle " << c;
+    const uint64_t ops = serial.stats().opsEvaluated - before;
+    before = serial.stats().opsEvaluated;
+    if (c > 0) {
+      EXPECT_LE(ops, treeOps[bank] + outputPathOps) << "cycle " << c;
+    }
+  }
+  EXPECT_GT(full.peek("out"), 0u) << "the toggling bank must reach the output";
+
+  auto expectSameWork = [](const sim::EngineStats& a, const sim::EngineStats& b,
+                           const std::string& what) {
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.opsEvaluated, b.opsEvaluated) << what;
+    EXPECT_EQ(a.partitionChecks, b.partitionChecks) << what;
+    EXPECT_EQ(a.partitionActivations, b.partitionActivations) << what;
+    EXPECT_EQ(a.outputComparisons, b.outputComparisons) << what;
+    EXPECT_EQ(a.triggerSets, b.triggerSets) << what;
+    EXPECT_EQ(a.signalsChangedTotal, b.signalsChangedTotal) << what;
+  };
+  expectSameWork(bsp.stats(), serial.stats(), "bsp");
+  expectSameWork(lanes.lane(0).stats(), serial.stats(), "lane 0");
+  expectSameWork(lanes.lane(1).stats(), soloLane1.stats(), "lane 1");
 }
 
 // --- Golden counters ---------------------------------------------------------

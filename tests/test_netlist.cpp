@@ -79,7 +79,9 @@ circuit N :
 }
 
 TEST(Netlist, RegToRegConnect) {
-  // r2 <= r1 gives a RegWrite node that reads a register source directly.
+  // r2 <= r1 gives a RegWrite node that reads r1 through a Copy op: the
+  // snapshot is combinational, so every engine computes it before any
+  // register is written (no engine may hand r2 the new value of r1).
   sim::SimIR ir = build(R"(
 circuit N :
   module N :
@@ -94,13 +96,21 @@ circuit N :
 )");
   Netlist nl = Netlist::build(ir);
   EXPECT_TRUE(nl.g.isAcyclic());
-  // r1 is read by r2's write node (and nothing else combinational).
+  // r1's only reader is the Copy op, whose only consumer is r2's write node.
   int32_t r1 = ir.findSignal("r1");
+  int32_t r2 = ir.findSignal("r2");
   bool writeReadsR1 = false;
   for (size_t r = 0; r < ir.regs.size(); r++) {
     if (ir.regs[r].sig != r1) continue;
-    for (int32_t reader : nl.regReaders[r]) {
-      if (nl.nodes[static_cast<size_t>(reader)].kind == NodeKind::RegWrite) writeReadsR1 = true;
+    ASSERT_EQ(nl.regReaders[r].size(), 1u);
+    const int32_t reader = nl.regReaders[r][0];
+    ASSERT_EQ(nl.nodes[static_cast<size_t>(reader)].kind, NodeKind::Op);
+    EXPECT_EQ(ir.ops[static_cast<size_t>(nl.nodes[static_cast<size_t>(reader)].index)].code,
+              sim::OpCode::Copy);
+    for (int32_t consumer : nl.g.outNeighbors(reader)) {
+      const NetNode& node = nl.nodes[static_cast<size_t>(consumer)];
+      if (node.kind == NodeKind::RegWrite && ir.regs[static_cast<size_t>(node.index)].sig == r2)
+        writeReadsR1 = true;
     }
   }
   EXPECT_TRUE(writeReadsR1);

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cli_harness.h"
 #include "obs/json.h"
@@ -77,12 +78,15 @@ TEST(ObsCli, StatsJsonOnRunIncludesEngineSection) {
   Json doc = parseFile(s);
   EXPECT_EQ(doc.at("design").at("name").asStr(), "GCD");
   EXPECT_EQ(doc.at("options").at("engine").asStr(), "ccss");
-  EXPECT_GT(doc.at("partitioning").at("final_parts").asUInt(), 0u);
+  const Json& parts = doc.at("partitioning");
+  EXPECT_GT(parts.at("final_parts").asUInt(), 0u);
+  EXPECT_EQ(parts.at("after_cut").asUInt(),
+            parts.at("initial_parts").asUInt() + parts.at("cones_cut").asUInt());
   EXPECT_EQ(doc.at("engine").at("name").asStr(), "essent-ccss");
   EXPECT_EQ(doc.at("engine").at("stats").at("cycles").asUInt(), 200u);
   ASSERT_NE(doc.at("phase_timings").find("timers"), nullptr);
   const Json& timers = doc.at("phase_timings").at("timers");
-  for (const char* phase : {"parse", "lower", "netlist", "mffc", "schedule"})
+  for (const char* phase : {"parse", "lower", "netlist", "mffc", "cut", "schedule"})
     EXPECT_NE(timers.find(phase), nullptr) << "missing phase " << phase;
 }
 
@@ -116,7 +120,19 @@ TEST(ObsCli, TopHotPrintsRankedTable) {
                         example("counterbanks.fir"));
   ASSERT_EQ(res.exitCode, 0) << res.output;
   EXPECT_NE(res.output.find("hottest partitions"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("ops"), std::string::npos);
+  // Each row carries the partition's size (its op count) beside its work.
+  const size_t title = res.output.find("hottest partitions");
+  ASSERT_NE(title, std::string::npos);
+  std::istringstream lines(res.output.substr(title));
+  std::string line;
+  std::getline(lines, line);  // the title
+  std::getline(lines, line);  // the column header
+  std::istringstream header(line);
+  std::vector<std::string> columns;
+  for (std::string c; header >> c;) columns.push_back(c);
+  EXPECT_EQ(columns, (std::vector<std::string>{"rank", "part", "ops", "activations", "opsEval",
+                                                "wakes", "share"}))
+      << res.output;
 }
 
 TEST(ObsCli, ProfileRequiresRunAndCcssEngine) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <set>
 
+#include "bank_reduction.h"
 #include "core/elision.h"
 #include "core/mffc.h"
 #include "core/netlist.h"
@@ -181,6 +182,53 @@ TEST(Partitioner, RandomDesignsAlwaysAcyclic) {
       opts.smallThreshold = cp;
       Partitioning p = partitionNetlist(nl, opts);
       EXPECT_TRUE(p.partGraph.isAcyclic()) << "seed " << seed << " cp " << cp;
+    }
+  }
+}
+
+// Step 1b: the XOR reduction over 8 register banks is one MFFC. Each bank's
+// tree is an independent sub-cone and gets a partition of its own, so one
+// bank's change no longer re-runs the other seven trees. A tree that also
+// reads a node outside itself (the shared leaf `s`) stays with the output.
+// C_p = 0 cuts too: the cut sizes are not C_p.
+TEST(Partitioner, OversizedConeIsCutAtIndependentSubcones) {
+  using tests::kReductionBanks;
+  for (bool shared : {false, true}) {
+    sim::SimIR ir = buildDesign(tests::bankReductionFirrtl(shared));
+    Netlist nl = Netlist::build(ir);
+    int32_t outOp = -1;
+    for (size_t op = 0; op < ir.ops.size(); op++)
+      if (ir.signals[static_cast<size_t>(ir.ops[op].dest)].name == "out")
+        outOp = static_cast<int32_t>(op);
+    ASSERT_GE(outOp, 0);
+    for (uint32_t cp : {0u, 8u}) {
+      const std::string what = std::string(shared ? "shared" : "plain") + " C_p=" +
+                               std::to_string(cp);
+      PartitionOptions opts;
+      opts.smallThreshold = cp;
+      Partitioning p = partitionNetlist(nl, opts);
+      EXPECT_TRUE(p.partGraph.isAcyclic()) << what;
+      EXPECT_EQ(p.stats.afterCut, p.stats.initialParts + p.stats.conesCut) << what;
+
+      std::vector<std::set<int>> banksOf(p.numPartitions());
+      for (int k = 0; k < kReductionBanks; k++) {
+        std::set<int32_t> tree = tests::bankTreeOps(ir, nl, k);
+        ASSERT_GE(tree.size(), 15u) << what << " bank " << k;
+        for (int32_t op : tree)
+          banksOf[static_cast<size_t>(p.partOf[static_cast<size_t>(nl.nodeOfOp[op])])].insert(k);
+      }
+      const size_t outPart = static_cast<size_t>(p.partOf[static_cast<size_t>(nl.nodeOfOp[outOp])]);
+      for (size_t q = 0; q < banksOf.size(); q++) {
+        if (q != outPart) {
+          EXPECT_LE(banksOf[q].size(), 1u) << what << " partition " << q;
+        }
+      }
+      if (!shared) {
+        EXPECT_GE(p.stats.conesCut, static_cast<size_t>(kReductionBanks)) << what;
+        EXPECT_TRUE(banksOf[outPart].empty()) << what;
+      } else {
+        EXPECT_EQ(banksOf[outPart], (std::set<int>{0, kReductionBanks - 1})) << what;
+      }
     }
   }
 }

@@ -153,6 +153,39 @@ circuit X :
   EXPECT_EQ(v, 2u);
 }
 
+TEST(Regression, RegisterLoadedFromRegisterTakesOldValue) {
+  // Without a reset there is no mux between the registers: `b <= a` makes
+  // a's register signal b's next value. Engines that commit registers one
+  // by one must still shift by one stage per cycle, and swap without reset.
+  std::string design = R"(
+circuit S :
+  module S :
+    input clock : Clock
+    input d : UInt<8>
+    output o : UInt<8>
+    output s : UInt<8>
+    reg a : UInt<8>, clock
+    reg b : UInt<8>, clock
+    reg c : UInt<8>, clock
+    reg x : UInt<8>, clock
+    reg y : UInt<8>, clock
+    a <= d
+    b <= a
+    c <= b
+    o <= c
+    x <= mux(eq(d, UInt<8>(1)), UInt<8>(7), y)
+    y <= x
+    s <= y
+)";
+  auto stim = [](sim::Engine& e, uint64_t c) { e.poke("d", c + 1); };
+  // o reads c before the tick's commit, so tick 4 shows the d of tick 1.
+  EXPECT_EQ(runAllEngines(design, 4, stim, "o"), 1u);
+  EXPECT_EQ(runAllEngines(design, 6, stim, "o"), 3u);
+  // x loads 7 on tick 1 and swaps with y after that: s shows 7 on tick 3.
+  EXPECT_EQ(runAllEngines(design, 3, stim, "s"), 7u);
+  EXPECT_EQ(runAllEngines(design, 4, stim, "s"), 0u);
+}
+
 TEST(Regression, Latency1MemoryUnderCcss) {
   std::string design = R"(
 circuit M :

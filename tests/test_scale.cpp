@@ -13,6 +13,7 @@
 //   ESSENT_SCALE_FULL=1 ctest -L scale
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -73,6 +74,14 @@ TEST(ScaleTest, MidScalePartitionerAndPlacementInvariants) {
     }
   }
   EXPECT_EQ(placedOps, design->ir.ops.size());
+
+  // No partition holds more than 1% of the design's ops. Without the
+  // partitioner's oversized-cone cut, the `status` XOR cone alone (every
+  // idle accelerator's reduction tree) is ~19% of each scaled SoC.
+  size_t largest = 0;
+  for (const core::CondPart& part : sched.parts) largest = std::max(largest, part.ops.size());
+  EXPECT_LE(largest * 100, design->ir.ops.size())
+      << "largest partition " << largest << " of " << design->ir.ops.size() << " ops";
 
   // BSP placement: every thread useful, every schedule position assigned to
   // exactly one (thread, super-step) slot, and no dependency edge pointing

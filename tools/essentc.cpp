@@ -445,6 +445,7 @@ int runStats(const Args& a, const sim::SimIR& ir) {
   std::printf("  edges           %lld\n", static_cast<long long>(nl.g.numEdges()));
   std::printf("partitioning (C_p = %u)\n", a.cp);
   std::printf("  MFFC partitions %zu\n", p.stats.initialParts);
+  std::printf("  cones cut       %zu  -> %zu partitions\n", p.stats.conesCut, p.stats.afterCut);
   std::printf("  phase A merges  %zu  -> %zu partitions\n", p.stats.mergesA,
               p.stats.afterSingleParent);
   std::printf("  phase B merges  %zu  -> %zu partitions\n", p.stats.mergesB,
@@ -520,14 +521,15 @@ int runSim(const Args& a, std::shared_ptr<const sim::CompiledDesign> design,
     uint64_t totalOps = act->stats().opsEvaluated;
     std::printf("hottest partitions (of %zu, by ops evaluated):\n",
                 act->schedule().numPartitions());
-    std::printf("  %4s %6s %12s %12s %12s %7s\n", "rank", "part", "activations", "opsEval",
-                "wakes", "share");
+    std::printf("  %4s %6s %7s %12s %12s %12s %7s\n", "rank", "part", "ops", "activations",
+                "opsEval", "wakes", "share");
     for (size_t rank = 0; rank < hot.size(); rank++) {
       const core::PartitionProfile& pp = act->profile().parts[hot[rank]];
       double share = totalOps ? 100.0 * static_cast<double>(pp.opsEvaluated) /
                                     static_cast<double>(totalOps)
                               : 0.0;
-      std::printf("  %4zu %6zu %12llu %12llu %12llu %6.2f%%\n", rank + 1, hot[rank],
+      std::printf("  %4zu %6zu %7zu %12llu %12llu %12llu %6.2f%%\n", rank + 1, hot[rank],
+                  act->schedule().parts[hot[rank]].ops.size(),
                   static_cast<unsigned long long>(pp.activations),
                   static_cast<unsigned long long>(pp.opsEvaluated),
                   static_cast<unsigned long long>(pp.wakesIssued), share);
