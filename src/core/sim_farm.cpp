@@ -24,6 +24,10 @@ ScheduleOptions farmScheduleOptions(const sim::EngineOptions& eo) {
 
 unsigned clampLanes(unsigned lanes) { return lanes < 1 ? 1 : (lanes > 64 ? 64 : lanes); }
 
+// Cycles between two checks of FarmOptions::guard's shared deadline, per
+// instance (or lane group).
+constexpr uint32_t kGuardCheckInterval = 1024;
+
 }  // namespace
 
 SimFarm::SimFarm(std::shared_ptr<const sim::CompiledDesign> design, FarmOptions opts)
@@ -49,10 +53,9 @@ FarmInstanceResult SimFarm::runOne(size_t index, const FarmJob& job, sim::Engine
     // inside the instance (ResourceExhausted propagates to the trap site),
     // not merely after the whole batch returns.
     const support::ResourceGuard* guard = opts_.guard;
-    const uint32_t interval = std::max(1u, opts_.guardCheckInterval);
     sim::StimulusFn inner = std::move(stim);
-    stim = [guard, interval, inner](sim::Engine& e, uint64_t c) {
-      if (c % interval == 0) guard->checkDeadline();
+    stim = [guard, inner](sim::Engine& e, uint64_t c) {
+      if (c % kGuardCheckInterval == 0) guard->checkDeadline();
       if (inner) inner(e, c);
     };
   }
@@ -103,9 +106,8 @@ void SimFarm::runLaneGroup(size_t base, unsigned count, const std::vector<FarmJo
     }
 
     auto g0 = std::chrono::steady_clock::now();
-    const uint32_t guardInterval = std::max(1u, opts_.guardCheckInterval);
     for (uint64_t c = 0; group.liveMask() != 0; c++) {
-      if (opts_.guard && c % guardInterval == 0) {
+      if (opts_.guard && c % kGuardCheckInterval == 0) {
         try {
           opts_.guard->checkDeadline();
         } catch (const support::ResourceExhausted& e) {
@@ -321,7 +323,7 @@ FarmReport SimFarm::run(const std::vector<FarmJob>& jobs) {
           globalHist.record(wallNs);
         } catch (const support::ResourceExhausted& e) {
           // Keep the E05xx code visible in the per-instance error so callers
-          // (essentc --batch, the daemon) can map it to their own taxonomy.
+          // (essentc --batch) can map it to their own taxonomy.
           report.instances[i].index = i;
           report.instances[i].name =
               jobs[i].name.empty() ? "job" + std::to_string(i) : jobs[i].name;

@@ -97,8 +97,7 @@ struct FarmReport {
   // Graceful-degradation messages from engine construction (thread
   // clamping etc.), deduplicated across instances.
   std::vector<std::string> warnings;
-  // Distribution of per-instance wall times (ns) across the batch —
-  // p50/p99 here are the daemon-facing latency numbers (Open item 3).
+  // Distribution of per-instance wall times (ns) across the batch.
   obs::LatencySnapshot instanceLatency;
   // Lane-farm counters (kind == Lane only).
   FarmLaneStats lane;
@@ -133,9 +132,8 @@ struct FarmOptions {
   // instances all stop within one check interval of the same wall moment —
   // a per-instance deadline would let the batch overshoot N-fold. Instances
   // cut off mid-run record an "E0504: ..." error; the guard must outlive
-  // run(). Checked every `guardCheckInterval` cycles per instance.
+  // run(). Checked every 1024 cycles per instance.
   const support::ResourceGuard* guard = nullptr;
-  uint32_t guardCheckInterval = 1024;
 };
 
 class SimFarm {

@@ -341,7 +341,9 @@ void inferOneStmt(Stmt& s, SymbolTable& st) {
     case StmtKind::Node: {
       Type t = inferExprType(*s.expr, st);
       s.type = asIntType(t);
-      if (t.kind == TypeKind::Clock) s.type = t;
+      // A node aliasing a clock or an async reset keeps that type, so the
+      // IR builder still sees what the alias stands for.
+      if (t.kind == TypeKind::Clock || t.kind == TypeKind::AsyncReset) s.type = t;
       st.define(s.name, s.type);
       break;
     }

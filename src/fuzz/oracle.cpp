@@ -1,8 +1,11 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "codegen/emitter.h"
@@ -18,6 +21,8 @@
 namespace essent::fuzz {
 
 namespace {
+
+std::atomic<bool> g_failNextEngine{false};
 
 const char* divKindName(Divergence::Kind k) {
   switch (k) {
@@ -270,6 +275,8 @@ std::string buildCodegenHarness(const sim::SimIR& ir, const Stimulus& stim,
 
 }  // namespace
 
+void failNextEngineConstructionForTest() { g_failNextEngine = true; }
+
 OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
                        const OracleOptions& opts) {
   OracleResult res;
@@ -301,21 +308,33 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
       wantCodegen = false;
       res.codegenSkipped = true;
       res.codegenSkipReason = e.what();
+    } catch (const std::exception& e) {
+      res.buildError = std::string("codegen schedule/emit: ") + e.what();
+      return res;
     }
   }
 
   // The reference is always a full-cycle engine on the unoptimized IR; it
   // participates even when not explicitly selected (something must anchor
   // the comparison, and the codegen trace needs an in-process twin).
+  // Construction builds each kind's schedule, so a partitioner or
+  // scheduler bug throws here; it becomes the case's finding, not an abort.
   std::vector<std::unique_ptr<sim::Engine>> own;
   std::vector<std::pair<std::string, sim::Engine*>> list;
-  auto addEngineOpts = [&](EngineKind k, const std::shared_ptr<const sim::CompiledDesign>& d,
-                           const sim::EngineOptions& eo) {
-    own.push_back(sim::makeEngine(k, d, eo));
-    list.push_back({engineKindName(k), own.back().get()});
+  auto addEngineWith = [&](EngineKind k,
+                           const std::function<std::unique_ptr<sim::Engine>()>& make) {
+    if (!res.buildError.empty()) return;
+    try {
+      if (g_failNextEngine.exchange(false)) throw std::runtime_error("injected for test");
+      own.push_back(make());
+      list.push_back({engineKindName(k), own.back().get()});
+    } catch (const std::exception& e) {
+      res.buildError = strfmt("engine construction (%s): %s", engineKindName(k), e.what());
+    }
   };
-  auto addEngine = [&](EngineKind k, const std::shared_ptr<const sim::CompiledDesign>& d) {
-    addEngineOpts(k, d, {});
+  auto addEngine = [&](EngineKind k, const std::shared_ptr<const sim::CompiledDesign>& d,
+                       const sim::EngineOptions& eo = {}) {
+    addEngineWith(k, [&] { return sim::makeEngine(k, d, eo); });
   };
   addEngine(EngineKind::FullCycle, refDesign);
   if (wants(EngineKind::EventDriven)) addEngine(EngineKind::EventDriven, optDesign);
@@ -324,9 +343,10 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
     // Deliberately NOT makeEngine: the oracle must exercise the real
     // parallel sweep even on a single-core host, so it bypasses the
     // factory's graceful hardware-concurrency clamping.
-    own.push_back(std::make_unique<core::ParallelActivityEngine>(
-        core::CompiledCcss::get(optDesign, so), std::max(2u, opts.parThreads)));
-    list.push_back({engineKindName(EngineKind::CcssPar), own.back().get()});
+    addEngineWith(EngineKind::CcssPar, [&]() -> std::unique_ptr<sim::Engine> {
+      return std::make_unique<core::ParallelActivityEngine>(
+          core::CompiledCcss::get(optDesign, so), std::max(2u, opts.parThreads));
+    });
   }
   if (wants(EngineKind::Lane)) {
     // Broadcast adapter over a multi-lane group: every lane computes the
@@ -334,8 +354,9 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
     // lane-kernel bug against the scalar engines.
     sim::EngineOptions laneOpts;
     laneOpts.lanes = opts.laneCount;
-    addEngineOpts(EngineKind::Lane, optDesign, laneOpts);
+    addEngine(EngineKind::Lane, optDesign, laneOpts);
   }
+  if (!res.buildError.empty()) return res;
 
   // Traced signals for the codegen comparison: outputs and registers of the
   // optimized IR that the reference can also observe.
@@ -349,7 +370,12 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
     }
   }
 
-  res.divergence = compareLockstep(list, stim, wantCodegen ? &trace : nullptr);
+  try {
+    res.divergence = compareLockstep(list, stim, wantCodegen ? &trace : nullptr);
+  } catch (const std::exception& e) {
+    res.buildError = std::string("lockstep comparison: ") + e.what();
+    return res;
+  }
   res.ran = true;
   if (res.divergence || !wantCodegen) return res;
 

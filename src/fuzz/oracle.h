@@ -87,6 +87,9 @@ struct OracleOptions {
 
 struct OracleResult {
   bool ran = false;  // the circuit parsed and built; engines were compared
+  // Set when the circuit did not build, or when scheduling, engine
+  // construction or the comparison threw; prefixed with the stage (and
+  // engine) for the latter.
   std::string buildError;
   std::optional<Divergence> divergence;
   bool codegenSkipped = false;        // e.g. >64-bit signals (documented limit)
@@ -97,6 +100,12 @@ struct OracleResult {
 
 OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
                        const OracleOptions& opts = {});
+
+// Test hook, one-shot: the next engine construction inside runOracle
+// throws, standing in for a partitioner or scheduler exception (no
+// generated circuit triggers one today). That case must come back as
+// OracleResult::buildError, reaching a campaign's failure report.
+void failNextEngineConstructionForTest();
 
 // Reference trace captured from engines[0] during a lock-step run; feeds
 // the out-of-process codegen comparison.

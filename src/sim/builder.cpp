@@ -296,6 +296,12 @@ class Builder {
     const Stmt* st = pr.stmt;
     int32_t nextVal = rhs;
     if (st->resetCond) {
+      // Every engine samples reset at the clock edge, so an asynchronous
+      // reset would simulate as a synchronous one, the same wrong way in
+      // all of them. Refuse it instead.
+      if (st->resetCond->type.kind == TypeKind::AsyncReset)
+        throw BuildError("register '" + name +
+                         "' has an asynchronous reset, which is not supported");
       int32_t cond = buildExpr(*st->resetCond);
       int32_t init = buildExpr(*st->resetInit);
       uint32_t w = ir_.signals[regSig].width;

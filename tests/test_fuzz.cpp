@@ -1,8 +1,9 @@
 // Tests for the differential fuzzer subsystem: generator determinism and
 // well-formedness, stimulus round-tripping, oracle agreement on clean
 // circuits (in-process and compiled), oracle sensitivity to injected
-// mismatches, shrinker minimization, campaign determinism, and the
-// committed corner-circuit corpus. Labeled `fuzz` in ctest.
+// mismatches, shrinker minimization, campaign determinism, internal errors
+// reported as failed cases, and the committed corner-circuit corpus.
+// Labeled `fuzz` in ctest.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "fuzz/stimulus.h"
 #include "sim/compile.h"
 #include "sim/full_cycle.h"
+#include "support/tempdir.h"
 
 namespace essent::fuzz {
 namespace {
@@ -359,6 +361,28 @@ TEST(Campaign, ReplaySingleCaseMatchesCampaignVerdict) {
   FuzzSummary sum = runFuzzCampaign(cfg, nullptr);
   CaseResult cr = runFuzzCase(caseSeedFor(4242, 0), cfg, nullptr);
   EXPECT_EQ(sum.failures != 0, cr.failed());
+}
+
+// An exception inside the oracle (here an injected one at engine
+// construction, where a partitioner or scheduler bug would throw) is a
+// failed case with a saved reproducer, not a terminate.
+TEST(Campaign, EngineConstructionThrowIsAFailedCaseWithCorpusFile) {
+  support::TempDir corpus("essent_fuzz_corpus_XXXXXX");
+  FuzzConfig cfg;
+  cfg.seed = 4242;
+  cfg.budget = 1;
+  cfg.engines = {EngineKind::FullCycle, EngineKind::Ccss};
+  cfg.corpusDir = corpus.path();
+  failNextEngineConstructionForTest();
+  FuzzSummary sum = runFuzzCampaign(cfg, nullptr);
+  EXPECT_EQ(sum.failures, 1u);
+  ASSERT_EQ(sum.failingSeeds.size(), 1u);
+  std::string base = corpus.file("fail_" + std::to_string(sum.failingSeeds[0]));
+  EXPECT_FALSE(readFile(base + ".fir").empty());
+  std::string report = readFile(base + ".report.txt");
+  EXPECT_NE(report.find("build error: engine construction (full): injected for test"),
+            std::string::npos)
+      << report;
 }
 
 TEST(Corpus, CornerCircuitsAgreeAcrossAllEngines) {

@@ -1,6 +1,7 @@
 // Robustness tests: subprocess watchdog, resource-guard ceilings, parallel
-// engine graceful degradation, the mutation crash fuzzer, the oracle's
-// hang watchdog, and the essentc CLI exit-code contract.
+// engine graceful degradation, the shared SimFarm deadline, the mutation
+// crash fuzzer, the oracle's hang watchdog, and the essentc CLI exit-code
+// contract.
 #include <gtest/gtest.h>
 #include <fcntl.h>
 #include <signal.h>
@@ -19,6 +20,7 @@
 
 #include "cli_harness.h"
 #include "core/parallel_engine.h"
+#include "core/sim_farm.h"
 #include "fuzz/mutator.h"
 #include "fuzz/oracle.h"
 #include "fuzz/stimulus.h"
@@ -221,6 +223,95 @@ TEST(Degradation, OversubscriptionClampedWithWarning) {
       core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), so), 100000, &warnings);
   ASSERT_NE(eng, nullptr);
   EXPECT_FALSE(warnings.empty());
+}
+
+// --- shared farm deadline (FarmOptions::guard, essentc --batch) ---
+
+TEST(FarmDeadlineTest, SharedGuardStopsAllInstancesTogether) {
+  auto design = sim::CompiledDesign::compile(sim::buildFromFirrtl(kCounterFir));
+  support::ResourceLimits lim = support::ResourceLimits::unlimited();
+  lim.wallDeadlineMs = 200;
+  support::ResourceGuard guard(lim);
+
+  core::FarmOptions fo;
+  fo.workers = 2;
+  fo.guard = &guard;
+  core::SimFarm farm(design, fo);
+
+  // 4 instances x effectively-unbounded budgets against ONE 200ms wall
+  // budget. With per-instance deadlines (the bug this guards against) the
+  // batch would take ~4x the budget on 2 workers; with the shared guard
+  // every instance dies within one check interval of the same moment.
+  std::vector<core::FarmJob> jobs(4);
+  for (size_t i = 0; i < jobs.size(); i++) {
+    jobs[i].name = "j" + std::to_string(i);
+    jobs[i].maxCycles = 4'000'000'000ull;
+    jobs[i].init = [](sim::Engine& e) { e.poke("en", 1); };
+  }
+  int64_t t0 = nowMs();
+  core::FarmReport report = farm.run(jobs);
+  int64_t wallMs = nowMs() - t0;
+
+  ASSERT_EQ(report.instances.size(), 4u);
+  for (const core::FarmInstanceResult& r : report.instances) {
+    EXPECT_FALSE(r.error.empty()) << r.name << " outlived the shared deadline";
+    EXPECT_NE(r.error.find("E0504"), std::string::npos) << r.name << ": " << r.error;
+  }
+  // One shared budget, not 4 per-instance ones. The slack absorbs scheduler
+  // noise and sanitizer overhead; the 4x-overshoot failure mode would be
+  // >=800ms of simulation alone.
+  EXPECT_LT(wallMs, 20'000);
+  EXPECT_FALSE(report.allOk());
+}
+
+TEST(FarmDeadlineTest, GenerousSharedGuardDoesNotFalselyKill) {
+  auto design = sim::CompiledDesign::compile(sim::buildFromFirrtl(kCounterFir));
+  support::ResourceLimits lim = support::ResourceLimits::unlimited();
+  lim.wallDeadlineMs = 60'000;
+  support::ResourceGuard guard(lim);
+
+  core::FarmOptions fo;
+  fo.workers = 2;
+  fo.guard = &guard;
+  core::SimFarm farm(design, fo);
+
+  std::vector<core::FarmJob> jobs(4);
+  for (size_t i = 0; i < jobs.size(); i++) {
+    jobs[i].name = "j" + std::to_string(i);
+    jobs[i].maxCycles = 10'000;
+  }
+  core::FarmReport report = farm.run(jobs);
+  EXPECT_TRUE(report.allOk());
+  EXPECT_EQ(report.totalCycles, 40'000u);
+}
+
+TEST(FarmDeadlineTest, LaneFarmHonorsSharedGuard) {
+  auto design = sim::CompiledDesign::compile(sim::buildFromFirrtl(kCounterFir));
+  support::ResourceLimits lim = support::ResourceLimits::unlimited();
+  lim.wallDeadlineMs = 200;
+  support::ResourceGuard guard(lim);
+
+  core::FarmOptions fo;
+  fo.kind = sim::EngineKind::Lane;
+  fo.engine.lanes = 4;
+  fo.workers = 2;
+  fo.guard = &guard;
+  core::SimFarm farm(design, fo);
+
+  std::vector<core::FarmJob> jobs(8);
+  for (size_t i = 0; i < jobs.size(); i++) {
+    jobs[i].name = "lane" + std::to_string(i);
+    jobs[i].maxCycles = 4'000'000'000ull;
+  }
+  int64_t t0 = nowMs();
+  core::FarmReport report = farm.run(jobs);
+  int64_t wallMs = nowMs() - t0;
+
+  // Deadline-killed lanes must NOT fall back to scalar engines (a retry
+  // would just burn the dead budget again, serially).
+  for (const core::FarmInstanceResult& r : report.instances)
+    EXPECT_NE(r.error.find("E0504"), std::string::npos) << r.name << ": " << r.error;
+  EXPECT_LT(wallMs, 20'000);
 }
 
 // --- mutation fuzzer ---

@@ -301,6 +301,55 @@ circuit L :
                BuildError);
 }
 
+// Every engine would sample an async reset at the clock edge, so the
+// builder refuses it however the reset reaches the register: straight
+// from a port (tests/corpus/bad/async_reset.fir), through a node alias,
+// or through an instance port.
+TEST(Builder, RejectsAsyncResetThroughAliases) {
+  const char* viaNode = R"(
+circuit A :
+  module A :
+    input clock : Clock
+    input reset : AsyncReset
+    input x : UInt<4>
+    output y : UInt<4>
+    node rst = reset
+    reg r : UInt<4>, clock with : (reset => (rst, UInt<4>(0)))
+    r <= x
+    y <= r
+)";
+  const char* viaInstance = R"(
+circuit A :
+  module B :
+    input clock : Clock
+    input rst : AsyncReset
+    input x : UInt<4>
+    output y : UInt<4>
+    reg r : UInt<4>, clock with : (reset => (rst, UInt<4>(0)))
+    r <= x
+    y <= r
+  module A :
+    input clock : Clock
+    input reset : AsyncReset
+    input x : UInt<4>
+    output y : UInt<4>
+    inst b of B
+    b.clock <= clock
+    b.rst <= reset
+    b.x <= x
+    y <= b.y
+)";
+  for (const char* fir : {viaNode, viaInstance}) {
+    try {
+      buildFromFirrtl(fir);
+      ADD_FAILURE() << "async reset accepted:\n" << fir;
+    } catch (const BuildError& e) {
+      EXPECT_NE(std::string(e.what()).find("has an asynchronous reset"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Builder, SignedArithmeticEndToEnd) {
   SimIR ir = buildFromFirrtl(R"(
 circuit S :
